@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <utility>
 
 namespace msim {
@@ -13,8 +14,8 @@ std::uint64_t nextPacketUid() {
 
 // ---------------------------------------------------------------- NetDevice
 
-NetDevice::NetDevice(Node& owner, std::string name)
-    : owner_{owner}, name_{std::move(name)} {}
+NetDevice::NetDevice(Node& owner, PacketChunkPool& chunks, std::string name)
+    : owner_{owner}, name_{std::move(name)}, queue_{chunks}, inFlight_{chunks} {}
 
 void NetDevice::send(Packet p) {
   if (p.firstSentAt == TimePoint::epoch() && owner_.sim().now() > TimePoint::epoch()) {
@@ -33,42 +34,49 @@ void NetDevice::send(Packet p) {
 }
 
 void NetDevice::enqueueForTransmit(Packet p) {
+  auto& sim = owner_.sim();
+  if (queue_.empty() && sim.now() >= busyUntil_) {
+    startTransmit(std::move(p));
+    return;
+  }
   if (queuedBytes_ + p.wireSize() > cfg_.queueLimit && !queue_.empty()) {
     ++queueDrops_;
     return;
   }
   queuedBytes_ += p.wireSize();
-  // detlint:allow(hotpath-alloc) drop-tail device queue (deque, bounded by
-  // queueLimit): per-packet queueing is the modeled machine's own work, and
-  // the gated zero-alloc fan-out delivers locally without touching a device.
-  queue_.push_back(std::move(p));
-  startTransmitIfIdle();
+  queue_.push(std::move(p));
+  if (queue_.size() == 1) sim.schedule(busyUntil_, [this] { onWake(); });
 }
 
-void NetDevice::startTransmitIfIdle() {
-  if (transmitting_ || queue_.empty()) return;
-  transmitting_ = true;
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
+void NetDevice::onWake() {
+  assert(owner_.sim().now() == busyUntil_);
+  Packet p = queue_.pop();
   queuedBytes_ -= p.wireSize();
-  notifyTaps(p, TapDir::Egress);
-  auto& sim = owner_.sim();
-  const Duration txTime = cfg_.rate.transmissionTime(p.wireSize());
-  sim.scheduleAfter(txTime, [this, p = std::move(p)]() mutable {
-    transmitting_ = false;
-    deliverToPeer(std::move(p));
-    startTransmitIfIdle();
-  });
+  // Decided before the egress taps run: a tap that sends on this device
+  // re-arms the wake itself when it finds the queue empty.
+  const bool more = !queue_.empty();
+  startTransmit(std::move(p));
+  if (more) owner_.sim().schedule(busyUntil_, [this] { onWake(); });
 }
 
-void NetDevice::deliverToPeer(Packet p) {
-  if (peer_ == nullptr) return;
+void NetDevice::startTransmit(Packet p) {
   auto& sim = owner_.sim();
-  NetDevice* peer = peer_;
-  sim.scheduleAfter(cfg_.delay, [peer, p = std::move(p)]() mutable {
-    peer->notifyTaps(p, TapDir::Ingress);
-    peer->owner().receive(std::move(p), *peer);
-  });
+  busyUntil_ = sim.now() + cfg_.rate.transmissionTime(p.wireSize());
+  notifyTaps(p, TapDir::Egress);
+  if (peer_ == nullptr) return;
+  const TimePoint arrival = busyUntil_ + cfg_.delay;
+  // Serialized transmissions over a fixed rate and delay cannot overtake
+  // each other: the FIFO pop in onArrival depends on it.
+  assert(arrival >= lastArrival_);
+  lastArrival_ = arrival;
+  inFlight_.push(std::move(p));
+  sim.schedule(arrival, [this] { onArrival(); });
+}
+
+void NetDevice::onArrival() {
+  Packet p = inFlight_.pop();
+  peer_->notifyTaps(p, TapDir::Ingress);
+  peer_->owner().receive(std::move(p), *peer_);
 }
 
 void NetDevice::notifyTaps(const Packet& p, TapDir dir) const {
@@ -91,10 +99,11 @@ std::pair<NetDevice&, NetDevice&> Link::connect(Node& a, Node& b,
 
 // --------------------------------------------------------------------- Node
 
-Node::Node(Simulator& sim, std::string name) : sim_{sim}, name_{std::move(name)} {}
+Node::Node(Simulator& sim, PacketChunkPool& chunks, std::string name)
+    : sim_{sim}, chunks_{chunks}, name_{std::move(name)} {}
 
 NetDevice& Node::addDevice(std::string name) {
-  devices_.push_back(std::make_unique<NetDevice>(*this, std::move(name)));
+  devices_.push_back(std::make_unique<NetDevice>(*this, chunks_, std::move(name)));
   return *devices_.back();
 }
 
@@ -215,7 +224,7 @@ void Node::sendIcmpTimeExceeded(const Packet& expired) {
 // ------------------------------------------------------------------ Network
 
 Node& Network::addNode(std::string name) {
-  nodes_.push_back(std::make_unique<Node>(sim_, std::move(name)));
+  nodes_.push_back(std::make_unique<Node>(sim_, packetChunks_, std::move(name)));
   return *nodes_.back();
 }
 

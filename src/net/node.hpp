@@ -7,9 +7,17 @@
 // response, and local delivery to the transport layer. Devices model egress
 // serialization (rate), a drop-tail queue, propagation delay, optional netem
 // impairment, and promiscuous capture taps.
+//
+// Link event model: a packet that finds its device idle costs exactly one
+// event — its arrival at the peer, scheduled when transmission starts at
+// start + serialization + propagation. A device's rate and delay are fixed
+// and its transmissions are serialized, so its arrivals are FIFO; packets in
+// propagation therefore wait in a per-device FIFO and the arrival event
+// captures only the device. The only other event is a wake at the end of
+// the current transmission, pending exactly while the drop-tail queue is
+// non-empty.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -17,6 +25,7 @@
 
 #include "net/netem.hpp"
 #include "net/packet.hpp"
+#include "net/packetfifo.hpp"
 #include "sim/simulator.hpp"
 
 namespace msim {
@@ -36,7 +45,7 @@ enum class TapDir : std::uint8_t { Egress, Ingress };
 /// One attachment point of a node to a link.
 class NetDevice {
  public:
-  NetDevice(Node& owner, std::string name);
+  NetDevice(Node& owner, PacketChunkPool& chunks, std::string name);
 
   NetDevice(const NetDevice&) = delete;
   NetDevice& operator=(const NetDevice&) = delete;
@@ -62,8 +71,9 @@ class NetDevice {
  private:
   friend class Link;
   void enqueueForTransmit(Packet p);
-  void startTransmitIfIdle();
-  void deliverToPeer(Packet p);
+  void startTransmit(Packet p);
+  void onWake();
+  void onArrival();
   void notifyTaps(const Packet& p, TapDir dir) const;
 
   Node& owner_;
@@ -71,9 +81,11 @@ class NetDevice {
   NetDevice* peer_{nullptr};
   LinkConfig cfg_;
   Netem netem_;
-  std::deque<Packet> queue_;
+  PacketFifo queue_;     // drop-tail queue; a wake is pending iff non-empty
+  PacketFifo inFlight_;  // transmitted, arriving at peer_ in this order
   ByteSize queuedBytes_;
-  bool transmitting_{false};
+  TimePoint busyUntil_{TimePoint::epoch()};  // end of the last transmission
+  TimePoint lastArrival_{TimePoint::epoch()};  // asserted monotone (FIFO)
   std::uint64_t queueDrops_{0};
   std::vector<Tap> taps_;
 };
@@ -94,7 +106,9 @@ class Link {
 /// A host or router in the simulated internet.
 class Node {
  public:
-  Node(Simulator& sim, std::string name);
+  /// `chunks` backs the packet FIFOs of this node's devices (shared by every
+  /// node of one Network) and must outlive the node.
+  Node(Simulator& sim, PacketChunkPool& chunks, std::string name);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -159,6 +173,7 @@ class Node {
   };
 
   Simulator& sim_;
+  PacketChunkPool& chunks_;
   std::string name_;
   std::vector<std::unique_ptr<NetDevice>> devices_;
   std::vector<Ipv4Address> addresses_;
@@ -179,9 +194,12 @@ class Network {
   Node& addNode(std::string name);
   [[nodiscard]] Node* findNode(const std::string& name);
   [[nodiscard]] Simulator& sim() { return sim_; }
+  /// Packet storage shared by every device FIFO of this network.
+  [[nodiscard]] const PacketChunkPool& packetChunks() const { return packetChunks_; }
 
  private:
   Simulator& sim_;
+  PacketChunkPool packetChunks_;  // declared before nodes_: outlives them
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

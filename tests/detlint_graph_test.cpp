@@ -337,6 +337,117 @@ TEST(DetlintGraph, UnamortizedOutboxAppendStillFires) {
   EXPECT_TRUE(hasFinding(fs, Rule::HotPathAlloc, "engine.cpp", 2));
 }
 
+// The device egress shape (net/node.cpp, net/packetfifo.*) as reached from
+// the relay fan-out root: RelayRoom::broadcast -> ... -> NetDevice::send ->
+// enqueueForTransmit -> PacketFifo::push -> PacketChunkPool::acquire. Only
+// the device layer varies between the two fixtures below.
+std::vector<SourceFile> relayToDeviceFixture(const char* nodeCpp,
+                                             const char* nodeHpp) {
+  return {
+      {"platform/relay.cpp",
+       "#include \"net/node.hpp\"\n"
+       "MSIM_HOT void RelayRoom::broadcast(Msg m) { scheduleBatch(m); }\n"
+       "void RelayRoom::scheduleBatch(Msg m) { dev_->send(packetFor(m)); }\n"},
+      {"net/node.hpp", nodeHpp},
+      {"net/node.cpp", nodeCpp},
+      {"net/packetfifo.hpp",
+       "class PacketFifo {\n"
+       " public:\n"
+       "  void push(Packet p) {\n"
+       "    if (tail_ == nullptr) {\n"
+       "      head_ = tail_ = pool_->acquire();\n"
+       "    } else if (tailIdx_ == kChunkPackets) {\n"
+       "      Chunk* c = pool_->acquire();\n"
+       "      tail_->next = c;\n"
+       "      tail_ = c;\n"
+       "      tailIdx_ = 0;\n"
+       "    }\n"
+       "    tail_->slots[tailIdx_++] = std::move(p);\n"
+       "  }\n"
+       "};\n"},
+      {"net/packetfifo.cpp",
+       "#include \"net/packetfifo.hpp\"\n"
+       "Chunk* PacketChunkPool::acquire() {\n"
+       "  if (free_ != nullptr) {\n"
+       "    Chunk* c = free_;\n"
+       "    free_ = c->next;\n"
+       "    return c;\n"
+       "  }\n"
+       "  // detlint:allow(hotpath-alloc) chunk growth only at a new high-water\n"
+       "  // mark of waiting packets; recycled through free_ afterwards.\n"
+       "  chunks_.push_back(std::make_unique<Chunk>());\n"
+       "  return chunks_.back().get();\n"
+       "}\n"},
+  };
+}
+
+TEST(DetlintGraph, ChunkRecycledDeviceFifoIsAllocFree) {
+  // One event per uncontended hop: the packet goes straight to the wire when
+  // the device is idle, otherwise into the chunked drop-tail FIFO; either way
+  // the in-flight FIFO holds it until its arrival event.
+  const auto files = relayToDeviceFixture(
+      "#include \"net/node.hpp\"\n"
+      "void NetDevice::send(Packet p) { enqueueForTransmit(std::move(p)); }\n"
+      "void NetDevice::enqueueForTransmit(Packet p) {\n"
+      "  if (queue_.empty() && now() >= busyUntil_) {\n"
+      "    startTransmit(std::move(p));\n"
+      "    return;\n"
+      "  }\n"
+      "  queue_.push(std::move(p));\n"
+      "}\n"
+      "void NetDevice::startTransmit(Packet p) {\n"
+      "  busyUntil_ = now() + txTime(p);\n"
+      "  inFlight_.push(std::move(p));\n"
+      "  sim_.schedule(busyUntil_ + delay_, [this] { onArrival(); });\n"
+      "}\n",
+      "#include \"net/packetfifo.hpp\"\n"
+      "class NetDevice {\n"
+      "  void send(Packet p);\n"
+      "  PacketFifo queue_;\n"
+      "  PacketFifo inFlight_;\n"
+      "};\n");
+  EXPECT_TRUE(detlint::scanSources(files).empty());
+
+  // Clean because the pool's growth site is justified, not because the walk
+  // stops short of it: without the pragma the same tree fires there.
+  std::vector<SourceFile> unjustified = files;
+  std::string& pool = unjustified.back().text;
+  const std::size_t pragma = pool.find("  // detlint:allow");
+  pool.erase(pragma, pool.find("  chunks_") - pragma);
+  const auto fs = detlint::scanSources(unjustified);
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_TRUE(hasFinding(fs, Rule::HotPathAlloc, "net/packetfifo.cpp", 8));
+}
+
+TEST(DetlintGraph, UnamortizedDequeDeviceQueueStillFires) {
+  // The same path with the drop-tail queue as a std::deque: pop_front hands
+  // blocks back to the heap, so the append is growth on every refill and
+  // must be reported at its own line with the relay root named.
+  const auto files = relayToDeviceFixture(
+      "#include \"net/node.hpp\"\n"
+      "void NetDevice::send(Packet p) { enqueueForTransmit(std::move(p)); }\n"
+      "void NetDevice::enqueueForTransmit(Packet p) {\n"
+      "  queue_.push_back(std::move(p));\n"
+      "  startTransmitIfIdle();\n"
+      "}\n"
+      "void NetDevice::startTransmitIfIdle() {\n"
+      "  Packet p = std::move(queue_.front());\n"
+      "  queue_.pop_front();\n"
+      "  inFlight_.push(std::move(p));\n"
+      "}\n",
+      "#include <deque>\n"
+      "#include \"net/packetfifo.hpp\"\n"
+      "class NetDevice {\n"
+      "  void send(Packet p);\n"
+      "  std::deque<Packet> queue_;\n"
+      "  PacketFifo inFlight_;\n"
+      "};\n");
+  const auto fs = detlint::scanSources(files);
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_TRUE(hasFinding(fs, Rule::HotPathAlloc, "net/node.cpp", 4));
+  EXPECT_NE(fs[0].message.find("'RelayRoom::broadcast'"), std::string::npos);
+}
+
 TEST(DetlintGraph, SuppressionInOwningFileFiltersGraphFinding) {
   // The allow pragma lives next to the allocation (in the callee's file),
   // not next to the root — the graph pass must honor the owning file's

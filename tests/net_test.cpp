@@ -164,6 +164,145 @@ TEST_F(TwoNodeFixture, TapsSeeBothDirections) {
   EXPECT_EQ(ingress, 1);
 }
 
+// --------------------------------------------------------- link event model
+//
+// The device schedules each packet's arrival when its transmission starts;
+// a wake at the end of the current transmission exists only while packets
+// wait in the drop-tail queue.
+
+TEST_F(TwoNodeFixture, UncontendedHopIsOneEvent) {
+  TimePoint arrival;
+  b->setLocalHandler([&](const Packet&) { arrival = sim.now(); });
+  a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.executedEvents(), 1u);
+  EXPECT_NEAR(arrival.toMillis(), 1.0 + 1.0, 1e-6);
+}
+
+TEST_F(TwoNodeFixture, BurstCostsOneArrivalPerPacketPlusOneWakePerQueuedPacket) {
+  std::vector<double> arrivals;
+  b->setLocalHandler([&](const Packet&) { arrivals.push_back(sim.now().toMillis()); });
+  for (int i = 0; i < 3; ++i) {
+    a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+  }
+  EXPECT_EQ(devA->queuedBytes().toBytes(), 2 * 1000);
+  sim.run();
+  EXPECT_EQ(sim.executedEvents(), 3u + 2u);
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_NEAR(arrivals[0], 2.0, 1e-6);
+  EXPECT_NEAR(arrivals[1] - arrivals[0], 1.0, 1e-6);
+  EXPECT_NEAR(arrivals[2] - arrivals[1], 1.0, 1e-6);
+  EXPECT_EQ(devA->queuedBytes().toBytes(), 0);
+}
+
+TEST_F(TwoNodeFixture, EnqueueExactlyAtBusyUntilStartsWithoutWaiting) {
+  std::vector<TimePoint> arrivals;
+  b->setLocalHandler([&](const Packet&) { arrivals.push_back(sim.now()); });
+  a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+  // The first transmission ends exactly here; the device is idle again.
+  const TimePoint busyUntil =
+      TimePoint::epoch() + DataRate::mbps(8).transmissionTime(ByteSize::bytes(1000));
+  sim.schedule(busyUntil, [&] {
+    a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+    EXPECT_EQ(devA->queuedBytes().toBytes(), 0);
+  });
+  sim.run();
+  // Two arrivals plus the injected send; no wake.
+  EXPECT_EQ(sim.executedEvents(), 3u);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[1] - arrivals[0], busyUntil - TimePoint::epoch());
+}
+
+TEST_F(TwoNodeFixture, MixedContendedAndIdleTrafficArrivesInFifoOrder) {
+  std::vector<std::uint64_t> sent;
+  std::vector<std::uint64_t> received;
+  std::vector<double> arrivals;
+  b->setLocalHandler([&](const Packet& p) {
+    received.push_back(p.uid);
+    arrivals.push_back(sim.now().toMillis());
+  });
+  auto sendAt = [&](double ms, std::int64_t payload) {
+    sim.schedule(TimePoint::epoch() + Duration::millis(ms), [&, payload] {
+      Packet p = makeUdpPacket(a->primaryAddress(), b->primaryAddress(), payload);
+      sent.push_back(p.uid);
+      a->sendFromLocal(std::move(p));
+    });
+  };
+  // A burst that queues (sizes differ, so serialization times differ), a
+  // packet that lands while the burst is still transmitting, an idle-device
+  // packet, and a second burst behind it.
+  sendAt(0.0, 958);
+  sendAt(0.0, 158);
+  sendAt(0.0, 1958);
+  sendAt(0.5, 58);
+  sendAt(20.0, 458);
+  sendAt(20.0, 58);
+  sendAt(20.1, 958);
+  sim.run();
+  EXPECT_EQ(received, sent);
+  ASSERT_EQ(arrivals.size(), 7u);
+  // Wire sizes 1000/200/2000/100 us back to back from t=0, then 500/100/1000
+  // from t=20 ms; every arrival is transmit end + 1 ms propagation.
+  const std::vector<double> expected = {2.0, 2.2, 4.2, 4.3, 21.5, 21.6, 22.6};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(arrivals[i], expected[i], 1e-6) << "packet " << i;
+  }
+}
+
+TEST_F(TwoNodeFixture, NetemHoldLandsAtHoldPlusSerializationPlusPropagation) {
+  NetemConfig cfg;
+  cfg.delay = Duration::millis(5);
+  devA->netem().configure(cfg);
+  std::vector<double> arrivals;
+  b->setLocalHandler([&](const Packet&) { arrivals.push_back(sim.now().toMillis()); });
+  a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+  a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  // 5 ms hold + 1 ms serialization + 1 ms propagation; the second packet is
+  // released at the same instant and serializes behind the first.
+  EXPECT_NEAR(arrivals[0], 5.0 + 1.0 + 1.0, 1e-6);
+  EXPECT_NEAR(arrivals[1], 5.0 + 2.0 + 1.0, 1e-6);
+}
+
+TEST_F(TwoNodeFixture, EgressTapSendingOnItsOwnDeviceQueuesBehind) {
+  // Taps fire at transmit start with the device already busy, so a tap that
+  // sends re-entrantly queues behind the packet it saw instead of
+  // overlapping it on the wire.
+  bool sentFromTap = false;
+  devA->addTap([&](const Packet&, TapDir dir) {
+    if (dir != TapDir::Egress || sentFromTap) return;
+    sentFromTap = true;
+    a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+  });
+  std::vector<double> arrivals;
+  b->setLocalHandler([&](const Packet&) { arrivals.push_back(sim.now().toMillis()); });
+  a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 958));
+  sim.run();
+  EXPECT_EQ(sim.executedEvents(), 2u + 1u);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_NEAR(arrivals[0], 2.0, 1e-6);
+  EXPECT_NEAR(arrivals[1], 3.0, 1e-6);
+}
+
+TEST_F(TwoNodeFixture, PacketStorageIsRecycledAcrossBursts) {
+  int received = 0;
+  b->setLocalHandler([&](const Packet&) { ++received; });
+  auto burst = [&] {
+    for (int i = 0; i < 100; ++i) {
+      a->sendFromLocal(makeUdpPacket(a->primaryAddress(), b->primaryAddress(), 158));
+    }
+    sim.run();
+  };
+  burst();
+  const std::size_t chunks = net.packetChunks().allocatedChunks();
+  EXPECT_GT(chunks, 0u);
+  burst();
+  burst();
+  EXPECT_EQ(received, 300);
+  EXPECT_EQ(net.packetChunks().allocatedChunks(), chunks);
+}
+
 // ------------------------------------------------------------------ routing
 
 TEST(RoutingTest, LongestPrefixWins) {

@@ -9,9 +9,9 @@
 #
 # Compare two checkouts with google-benchmark's compare.py, or just diff the
 # items_per_second fields. BM_RelayBroadcast reports allocs_per_forward and
-# BM_UdpSteadyStatePacketPool reports pool_hit_rate — the steady-state heap
-# budgets of the relay and link hot paths. Skip the cluster smoke with
-# MSIM_SKIP_CLUSTER_SMOKE=1.
+# BM_UdpSteadyStatePacketPool reports allocs_per_datagram and pool_hit_rate —
+# the steady-state heap budgets of the relay and link hot paths. Skip the
+# cluster smoke with MSIM_SKIP_CLUSTER_SMOKE=1.
 #
 # Set MSIM_BENCH_BASELINE=path/to/old.json to diff the fresh results against
 # a recorded baseline via tools/bench_diff.py. With MSIM_BENCH_GATE=PCT the
