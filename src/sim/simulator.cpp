@@ -2,136 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <utility>
 
 #include "util/hotpath.hpp"
 
 namespace msim {
-
-namespace {
-constexpr std::size_t kHeapArity = 4;
-
-// Finalizer-quality 64-bit mix (Murmur3 fmix64): timestamps are highly
-// regular (multiples of a tick), so the low bits need the full avalanche.
-std::size_t hashTime(std::int64_t ns) {
-  auto x = static_cast<std::uint64_t>(ns);
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return static_cast<std::size_t>(x);
-}
-}  // namespace
-
-void Simulator::siftUp(std::size_t i) {
-  const HeapEntry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (e.timeNs >= heap_[parent].timeNs) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void Simulator::siftDown(std::size_t i) {
-  // Bottom-up deletion: sink the hole to a leaf choosing the min child at
-  // each level (no compares against the displaced element, which nearly
-  // always belongs back near the leaves), then bubble the displaced element
-  // up the hole's path. Saves ~half the comparisons of the classic
-  // compare-down on large heaps.
-  const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[i];
-  std::size_t hole = i;
-  for (;;) {
-    const std::size_t first = hole * kHeapArity + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kHeapArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (heap_[c].timeNs < heap_[best].timeNs) best = c;
-    }
-    __builtin_prefetch(&heap_[std::min(best * kHeapArity + 1, n - 1)]);
-    heap_[hole] = heap_[best];
-    hole = best;
-  }
-  while (hole > i) {
-    const std::size_t parent = (hole - 1) / kHeapArity;
-    if (e.timeNs >= heap_[parent].timeNs) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = e;
-}
-
-void Simulator::growTimeMap() {
-  const std::size_t newSize = timeMap_.empty() ? 64 : timeMap_.size() * 2;
-  std::vector<TimeCell> old = std::move(timeMap_);
-  timeMap_.assign(newSize, TimeCell{kEmptyTime, 0});
-  const std::size_t mask = newSize - 1;
-  for (const TimeCell& c : old) {
-    if (c.timeNs == kEmptyTime) continue;
-    std::size_t i = hashTime(c.timeNs) & mask;
-    while (timeMap_[i].timeNs != kEmptyTime) i = (i + 1) & mask;
-    timeMap_[i] = c;
-  }
-}
-
-std::uint32_t Simulator::bucketFor(std::int64_t timeNs) {
-  if ((timeMapUsed_ + 1) * 4 >= timeMap_.size() * 3) growTimeMap();
-  const std::size_t mask = timeMap_.size() - 1;
-  std::size_t i = hashTime(timeNs) & mask;
-  for (;;) {
-    TimeCell& cell = timeMap_[i];
-    if (cell.timeNs == timeNs) return cell.bucket;
-    if (cell.timeNs == kEmptyTime) {
-      std::uint32_t index;
-      if (!freeBuckets_.empty()) {
-        index = freeBuckets_.back();
-        freeBuckets_.pop_back();
-      } else {
-        index = static_cast<std::uint32_t>(buckets_.size());
-        // detlint:allow(hotpath-alloc) overflow-bucket table growth, recycled
-        // through freeBuckets_ — bounded by the high-water mark of distinct
-        // beyond-horizon times, not by event count.
-        buckets_.emplace_back();
-      }
-      cell.timeNs = timeNs;
-      cell.bucket = index;
-      ++timeMapUsed_;
-      heap_.push_back(HeapEntry{timeNs, index});
-      siftUp(heap_.size() - 1);
-      return index;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-void Simulator::releaseBucket(std::uint32_t index) {
-  Bucket& b = buckets_[index];
-  b.head = 0;
-  b.count = 0;
-  b.more.clear();  // keeps capacity — steady-state appends never allocate
-  freeBuckets_.push_back(index);
-}
-
-void Simulator::eraseTime(std::int64_t timeNs) {
-  const std::size_t mask = timeMap_.size() - 1;
-  std::size_t hole = hashTime(timeNs) & mask;
-  while (timeMap_[hole].timeNs != timeNs) hole = (hole + 1) & mask;
-  // Backward-shift deletion: keeps probe chains intact without tombstones.
-  for (std::size_t j = (hole + 1) & mask; timeMap_[j].timeNs != kEmptyTime;
-       j = (j + 1) & mask) {
-    const std::size_t home = hashTime(timeMap_[j].timeNs) & mask;
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      timeMap_[hole] = timeMap_[j];
-      hole = j;
-    }
-  }
-  timeMap_[hole].timeNs = kEmptyTime;
-  --timeMapUsed_;
-}
 
 std::uint32_t Simulator::acquireSlot() {
   if (!freeSlots_.empty()) {
@@ -151,14 +27,14 @@ std::uint32_t Simulator::acquireSlot() {
 void Simulator::releaseSlot(std::uint32_t index) {
   Slot& slot = slotAt(index);
   slot.live = false;
-  ++slot.generation;  // kills outstanding EventIds and stale heap entries
+  ++slot.generation;  // kills outstanding EventIds and stale queue entries
   slot.cb.reset();
   freeSlots_.push_back(index);
 }
 
 // detlint:hotpath every event in the run passes through here; schedule must
-// stay pool-recycled (slots, wheel lanes, buckets) so a 100k-avatar run's
-// steady state never touches the heap.
+// stay pool-recycled (slots, wheel lanes, overflow heap) so a 100k-avatar
+// run's steady state never touches the allocator.
 MSIM_HOT EventId Simulator::schedule(TimePoint t, Callback cb) {
   return scheduleStamped(t, ++localStampCounter_, std::move(cb));
 }
@@ -177,21 +53,17 @@ MSIM_HOT EventId Simulator::scheduleStamped(TimePoint t, std::uint64_t stamp,
   slot.seq = ++seqCounter_;
   slot.auditStamp = stamp;
   slot.cb = std::move(cb);
-  const std::int64_t tNs = t.toNanos();
-  if ((tNs >> kWheelTopShift) - (wheelNowNs_ >> kWheelTopShift) <
-      static_cast<std::int64_t>(kWheelSlots)) {
+  const WheelEntry e{t.toNanos(), slot.seq, index, slot.generation};
+  if ((e.timeNs >> kWheelBaseShift) <= (wheelNowNs_ >> kWheelBaseShift)) {
     ++wheelEvents_;
-    wheelInsert(WheelEntry{tNs, slot.seq, index, slot.generation},
-                /*fromAdvance=*/false);
+    drainInsertSorted(e);  // the cursor's lane: dispatchable as it stands
+  } else if (inHorizon(e.timeNs)) {
+    ++wheelEvents_;
+    wheelInsert(e);
   } else {
-    Bucket& b = buckets_[bucketFor(tNs)];
-    if (b.count == 0) {
-      b.first = BucketRef{index, slot.generation};
-    } else {
-      b.more.push_back(BucketRef{index, slot.generation});
-    }
-    ++b.count;
-    ++overflowEvents_;
+    // Grows only at a new high-water mark of far entries: pops keep capacity.
+    overflow_.push_back(e);
+    std::push_heap(overflow_.begin(), overflow_.end(), after);
   }
   ++liveEvents_;
   ++pendingEntries_;
@@ -211,20 +83,6 @@ void Simulator::cancel(const EventId& id) {
 
 // ---- timer wheel machinery -------------------------------------------------
 
-void Simulator::drainAppend(const WheelEntry& e) {
-  // Advance-phase append: the run is rebuilt from scratch each advance, so
-  // ordering is deferred to one sort at advanceWheel's exit — and skipped
-  // entirely when the appends arrive already in (time, seq) order, which is
-  // the same-time burst case (lane FIFO order is seq order).
-  if (!drainSortPending_ && !drainRun_.empty()) {
-    const WheelEntry& p = drainRun_.back();
-    if (e.timeNs < p.timeNs || (e.timeNs == p.timeNs && e.seq < p.seq)) {
-      drainSortPending_ = true;
-    }
-  }
-  drainRun_.push_back(e);
-}
-
 void Simulator::drainInsertSorted(const WheelEntry& e) {
   // Schedule-time insert into the unconsumed suffix (the run is sorted
   // whenever schedule() can observe it). The entry carries the globally
@@ -238,9 +96,7 @@ void Simulator::drainInsertSorted(const WheelEntry& e) {
   }
   const auto pos = std::upper_bound(
       drainRun_.begin() + static_cast<std::ptrdiff_t>(drainHead_),
-      drainRun_.end(), e, [](const WheelEntry& a, const WheelEntry& b) {
-        return a.timeNs < b.timeNs || (a.timeNs == b.timeNs && a.seq < b.seq);
-      });
+      drainRun_.end(), e, before);
   drainRun_.insert(pos, e);
 }
 
@@ -260,18 +116,10 @@ std::uint32_t Simulator::acquireLaneBlock() {
   return laneBlockCount_++;
 }
 
-void Simulator::wheelInsert(const WheelEntry& e, bool fromAdvance) {
-  // Callers guarantee the entry fits the wheel horizon (top-level distance
-  // < kWheelSlots) and is not earlier than the cursor's lane.
-  if ((e.timeNs >> kWheelBaseShift) <= (wheelNowNs_ >> kWheelBaseShift)) {
-    // Current lane: dispatchable without further cascading.
-    if (fromAdvance) {
-      drainAppend(e);
-    } else {
-      drainInsertSorted(e);
-    }
-    return;
-  }
+void Simulator::wheelInsert(const WheelEntry& e) {
+  // Callers guarantee the entry fits the wheel horizon and is not earlier
+  // than the cursor's lane. An entry due in the cursor's lane lands in the
+  // cursor's level-0 lane, which the next advance step flushes.
   for (int level = 0;; ++level) {
     const int shift = wheelShift(level);
     if ((e.timeNs >> shift) - (wheelNowNs_ >> shift) <
@@ -338,7 +186,14 @@ void Simulator::flushLane(int level, std::uint32_t lane) {
         --wheelEvents_;
         continue;
       }
-      drainAppend(e);
+      // The run is rebuilt from empty by each advance, so ordering is left
+      // to one sort at advanceWheel's exit, skipped when the lane arrives in
+      // (time, seq) order: the same-time burst case, as lane FIFO order is
+      // seq order.
+      if (!drainRun_.empty() && before(e, drainRun_.back())) {
+        drainSortPending_ = true;
+      }
+      drainRun_.push_back(e);
     }
     walked += n;
     const std::uint32_t next = blk.next;
@@ -412,8 +267,8 @@ void Simulator::cascadeLane(int level, std::uint32_t lane) {
   wheelLanes_[laneIndex(level, lane)] = Lane{};
   wheelBits_[static_cast<std::size_t>(level) * kWheelWordsPerLevel +
              (lane >> 6)] &= ~(1ull << (lane & 63));
-  // Re-homing always lands at a strictly finer level (or the drain run),
-  // never back in this lane, so walking the chain while inserting is safe.
+  // Re-homing always lands at a strictly finer level, never back in this
+  // lane, so walking the chain while inserting is safe.
   std::size_t walked = 0;
   for (std::uint32_t b = ln.head; b != kNoBlock;) {
     const std::uint32_t n = b == ln.tail ? ln.tailCount : kLaneBlockCap;
@@ -426,7 +281,7 @@ void Simulator::cascadeLane(int level, std::uint32_t lane) {
         continue;
       }
       ++cascades_;
-      wheelInsert(e, /*fromAdvance=*/true);
+      wheelInsert(e);
     }
     walked += n;
     const std::uint32_t next = laneBlockAt(b).next;
@@ -437,34 +292,21 @@ void Simulator::cascadeLane(int level, std::uint32_t lane) {
 }
 
 void Simulator::promoteOverflow() {
-  // Whole buckets (one far timestamp each) enter the wheel once their time
-  // fits the top level's horizon. Bucket FIFO order is seq order, so the
-  // (time, seq) dispatch contract survives the move.
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if ((top.timeNs >> kWheelTopShift) - (wheelNowNs_ >> kWheelTopShift) >=
-        static_cast<std::int64_t>(kWheelSlots)) {
-      break;
+  // Entries enter the wheel once their time fits the top level's horizon.
+  // Pops come out in (time, seq) order, so each lane receives them in the
+  // order run() will dispatch them.
+  while (!overflow_.empty() && inHorizon(overflow_.front().timeNs)) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), after);
+    const WheelEntry e = overflow_.back();
+    overflow_.pop_back();
+    const Slot& slot = slotAt(e.slot);
+    if (slot.generation != e.gen || !slot.live) {  // cancelled tombstone
+      --pendingEntries_;
+      continue;
     }
-    Bucket& b = buckets_[top.bucket];
-    for (std::uint32_t i = b.head; i < b.count; ++i) {
-      const BucketRef ref = i == 0 ? b.first : b.more[i - 1];
-      --overflowEvents_;
-      const Slot& slot = slotAt(ref.slot);
-      if (slot.generation != ref.gen || !slot.live) {  // cancelled
-        --pendingEntries_;
-        continue;
-      }
-      ++cascades_;
-      ++wheelEvents_;
-      wheelInsert(WheelEntry{top.timeNs, slot.seq, ref.slot, ref.gen},
-                  /*fromAdvance=*/true);
-    }
-    releaseBucket(top.bucket);
-    eraseTime(top.timeNs);
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(0);
+    ++cascades_;
+    ++wheelEvents_;
+    wheelInsert(e);
   }
 }
 
@@ -478,11 +320,12 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
   const auto laneAlign = [](std::int64_t ns) {
     return (ns >> kWheelBaseShift) << kWheelBaseShift;
   };
+  // Promotion and cascades re-home into lanes only; the drain is filled by
+  // a level-0 flush or a clear-window direct drain alone, and the loop ends
+  // there. So when lanes of several levels open at the same instant, every
+  // coarser one has cascaded into the level-0 lane before it is flushed.
   while (drainRun_.empty()) {
-    if (!heap_.empty()) {
-      promoteOverflow();
-      if (!drainRun_.empty()) break;  // promoted into the current lane
-    }
+    if (!overflow_.empty()) promoteOverflow();
     // The earliest occupied window across the levels. On a window-start tie
     // the highest level cascades first, so its finer-grained entries merge
     // into the lower-level walk before anything is flushed for dispatch.
@@ -507,10 +350,10 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
       }
     }
     if (bestLevel < 0) {
-      if (heap_.empty()) return false;  // no pending events anywhere
+      if (overflow_.empty()) return false;  // no pending events anywhere
       // Overflow only, beyond the horizon: jump the cursor toward its top
       // timestamp (never past the run limit) and let promotion pull it in.
-      const std::int64_t top = heap_.front().timeNs;
+      const std::int64_t top = overflow_.front().timeNs;
       if (top > limitNs) {
         wheelNowNs_ = std::max(wheelNowNs_, laneAlign(limitNs));
         return false;
@@ -557,11 +400,7 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
     }
   }
   if (drainSortPending_) {
-    std::sort(drainRun_.begin(), drainRun_.end(),
-              [](const WheelEntry& a, const WheelEntry& b) {
-                return a.timeNs < b.timeNs ||
-                       (a.timeNs == b.timeNs && a.seq < b.seq);
-              });
+    std::sort(drainRun_.begin(), drainRun_.end(), before);
     drainSortPending_ = false;
   }
   return true;
@@ -584,6 +423,12 @@ MSIM_HOT std::size_t Simulator::run(TimePoint limit) {
       continue;
     }
     if (top.timeNs > limitNs) break;
+#ifndef NDEBUG
+    // The (time, seq) contract, checked at the one place it is observable.
+    assert(before(WheelEntry{lastFiredNs_, lastFiredSeq_, 0, 0}, top));
+    lastFiredNs_ = top.timeNs;
+    lastFiredSeq_ = top.seq;
+#endif
     ++drainHead_;
     --pendingEntries_;
     --wheelEvents_;
@@ -657,7 +502,7 @@ TimePoint Simulator::nextEventTimeLowerBound() const {
     }
     best = std::min(best, laneBest == kNone ? windowStart : laneBest);
   }
-  if (!heap_.empty()) best = std::min(best, heap_.front().timeNs);
+  if (!overflow_.empty()) best = std::min(best, overflow_.front().timeNs);
   if (best == kNone) return TimePoint::max();
   return TimePoint::fromNanos(std::max(best, now_.toNanos()));
 }

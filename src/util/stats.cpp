@@ -58,21 +58,6 @@ double RunningStats::ci95HalfWidth() const {
   return t * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-double PercentileTracker::percentile(double p) {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  if (p <= 0.0) return samples_.front();
-  if (p >= 100.0) return samples_.back();
-  const double pos = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-}
-
 double pearsonCorrelation(const std::vector<double>& a, const std::vector<double>& b) {
   const std::size_t n = std::min(a.size(), b.size());
   if (n < 2) return 0.0;

@@ -40,25 +40,6 @@ class RunningStats {
   double max_{0.0};
 };
 
-/// Exact percentiles over a retained sample vector.
-///
-/// Retaining all samples is fine at simulator scale (at most a few million
-/// doubles per run) and avoids sketch error in reported latency percentiles.
-class PercentileTracker {
- public:
-  void add(double x) { samples_.push_back(x); sorted_ = false; }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
-
-  /// Linear-interpolated percentile, p in [0,100]. 0 when empty.
-  [[nodiscard]] double percentile(double p);
-  [[nodiscard]] double median() { return percentile(50.0); }
-
- private:
-  std::vector<double> samples_;
-  bool sorted_{false};
-};
-
 /// Pearson correlation of two equal-length series; 0 if degenerate.
 [[nodiscard]] double pearsonCorrelation(const std::vector<double>& a,
                                         const std::vector<double>& b);

@@ -136,21 +136,42 @@ TEST(TimerWheel, ScheduleIntoDrainingLaneKeepsTimeOrder) {
 // a level-1 window with a freshly occupied level-0 window starting inside
 // it may not drain whole.
 TEST(TimerWheel, MidRunScheduleForcesMergeCascade) {
-  Simulator sim;
-  std::vector<std::string> fired;
-  auto ev = [&fired](const char* tag) {
-    return [&fired, tag] { fired.push_back(tag); };
-  };
-  sim.schedule(at(262'500), ev("late"));   // level 1 from a cold cursor
-  sim.schedule(at(260'000), [&] {
-    fired.push_back("early");
-    // Now within level-0 reach of 263µs: occupies a level-0 window that
-    // starts inside late's level-1 window, so that window is not clear.
-    sim.scheduleAfter(Duration::nanos(3'000), ev("wedge"));
-  });
-  sim.run();
-  EXPECT_EQ(fired, (std::vector<std::string>{"early", "late", "wedge"}));
-  EXPECT_GE(sim.cascades(), 1u);
+  {
+    Simulator sim;
+    std::vector<std::string> fired;
+    auto ev = [&fired](const char* tag) {
+      return [&fired, tag] { fired.push_back(tag); };
+    };
+    sim.schedule(at(262'500), ev("late"));  // level 1 from a cold cursor
+    sim.schedule(at(260'000), [&] {
+      fired.push_back("early");
+      // Now within level-0 reach of 263µs: occupies a level-0 window that
+      // starts inside late's level-1 window, so that window is not clear.
+      sim.scheduleAfter(Duration::nanos(3'000), ev("wedge"));
+    });
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<std::string>{"early", "late", "wedge"}));
+    EXPECT_GE(sim.cascades(), 1u);
+  }
+  {
+    // The tie itself, with the wedge earlier than late: late's level-1
+    // window and the wedge's level-0 lane both open at 278,528 ns. The
+    // level-1 lane cascades first, and late must merge into the wedge's
+    // lane rather than be dispatched ahead of it.
+    Simulator sim;
+    std::vector<std::string> fired;
+    auto ev = [&fired](const char* tag) {
+      return [&fired, tag] { fired.push_back(tag); };
+    };
+    sim.schedule(at(279'549), ev("late"));  // level-1 lane [278,528, 286,720)
+    sim.schedule(at(231'479), [&] {
+      fired.push_back("early");
+      sim.schedule(at(278'583), ev("wedge"));  // level-0 lane from 278,528
+    });
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<std::string>{"early", "wedge", "late"}));
+    EXPECT_GE(sim.cascades(), 1u);
+  }
 }
 
 TEST(TimerWheel, CountersTrackTiersAndDrainToZero) {
@@ -200,24 +221,33 @@ struct PropertyHarness {
   std::vector<int> fired;
   std::uint64_t lcg;
   int budget;  // events still allowed to be scheduled from callbacks
+  bool farMix;  // four in five delays beyond the ~134ms horizon
 
-  explicit PropertyHarness(std::uint64_t seed, int extra)
-      : lcg{seed * 2654435761u + 1}, budget{extra} {}
+  explicit PropertyHarness(std::uint64_t seed, int extra, bool far = false)
+      : lcg{seed * 2654435761u + 1}, budget{extra}, farMix{far} {}
 
   std::uint64_t rnd() {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
     return lcg >> 33;
   }
 
-  std::int64_t pickDelay() {
-    switch (rnd() % 5) {
-      case 0: return static_cast<std::int64_t>(rnd() % 2'000);        // lane
-      case 1: return static_cast<std::int64_t>(rnd() % 300'000);      // L0/L1
-      case 2: return static_cast<std::int64_t>(rnd() % 10'000'000);   // L2
-      case 3: return static_cast<std::int64_t>(rnd() % 130'000'000);  // L3
-      default:
-        return 130'000'000 +
-               static_cast<std::int64_t>(rnd() % 400'000'000);  // overflow
+  std::int64_t pickDelay(std::int64_t nowNs) {
+    const auto r = [this](std::uint64_t n) {
+      return static_cast<std::int64_t>(rnd() % n);
+    };
+    if (farMix && rnd() % 5 != 0) return 130'000'000 + r(400'000'000);
+    switch (rnd() % 6) {
+      case 0: return r(2'000);        // lane
+      case 1: return r(300'000);      // L0/L1
+      case 2: return r(10'000'000);   // L2
+      case 3: return r(130'000'000);  // L3
+      case 4: {
+        // The start of a lane window at a random level (multiples of 1,024
+        // ns and coarser), so lanes of several levels open at one instant.
+        const int shift = 10 + 3 * static_cast<int>(rnd() % 4);
+        return (((nowNs >> shift) + 1 + r(64)) << shift) - nowNs;
+      }
+      default: return 130'000'000 + r(400'000'000);  // overflow
     }
   }
 
@@ -228,7 +258,7 @@ struct PropertyHarness {
       // Exact tie with an earlier request (clamped the same way below).
       t = oracle[rnd() % oracle.size()].timeNs;
     } else {
-      t = nowNs + pickDelay();
+      t = nowNs + pickDelay(nowNs);
     }
     const int tag = static_cast<int>(oracle.size());
     const std::int64_t clamped = std::max(t, nowNs);
@@ -246,7 +276,7 @@ struct PropertyHarness {
 
   void onFire(int tag) {
     fired.push_back(tag);
-    if (budget > 0 && rnd() % 3 == 0) {
+    for (auto n = rnd() % 3 + 1; n > 0 && budget > 0; --n) {
       --budget;
       scheduleOne();
     }
@@ -271,9 +301,9 @@ struct PropertyHarness {
 
 TEST(TimerWheelProperty, RandomInterleavingsMatchStableSortOracle) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    PropertyHarness h{seed, /*extra=*/400};
-    for (int i = 0; i < 400; ++i) h.scheduleOne();
-    for (int i = 0; i < 100; ++i) h.cancelRandom();
+    PropertyHarness h{seed, /*extra=*/3'000};
+    for (int i = 0; i < 2'000; ++i) h.scheduleOne();
+    for (int i = 0; i < 500; ++i) h.cancelRandom();
     EXPECT_EQ(h.sim.wheelEvents() + h.sim.overflowEvents(),
               h.sim.queuedEvents());
     h.sim.run();
@@ -289,15 +319,31 @@ TEST(TimerWheelProperty, RandomInterleavingsMatchStableSortOracle) {
 // cursor parking plus the schedule-into-parked-lane path repeatedly.
 TEST(TimerWheelProperty, ChunkedRunsMatchOracleToo) {
   for (std::uint64_t seed = 10; seed <= 13; ++seed) {
-    PropertyHarness h{seed, /*extra=*/200};
-    for (int i = 0; i < 300; ++i) h.scheduleOne();
-    for (int i = 0; i < 60; ++i) h.cancelRandom();
+    PropertyHarness h{seed, /*extra=*/3'000};
+    for (int i = 0; i < 2'000; ++i) h.scheduleOne();
+    for (int i = 0; i < 400; ++i) h.cancelRandom();
     for (std::int64_t limitNs = 1'000'000; !h.sim.idle();
          limitNs += 7'900'000) {
       h.sim.run(at(limitNs));
     }
     ASSERT_TRUE(h.sim.idle()) << "seed " << seed;
     EXPECT_EQ(h.fired, h.expected()) << "seed " << seed;
+  }
+}
+
+// Far timers dominate (samplers, eviction sweeps, token expiry): most
+// entries wait in the overflow heap, many are cancelled there, and the rest
+// are promoted into the wheel while callbacks keep scheduling more.
+TEST(TimerWheelProperty, OverflowHeavyMixMatchesOracle) {
+  for (std::uint64_t seed = 20; seed <= 23; ++seed) {
+    PropertyHarness h{seed, /*extra=*/3'000, /*far=*/true};
+    for (int i = 0; i < 2'000; ++i) h.scheduleOne();
+    EXPECT_GT(h.sim.overflowEvents(), h.sim.wheelEvents()) << "seed " << seed;
+    for (int i = 0; i < 600; ++i) h.cancelRandom();
+    h.sim.run();
+    ASSERT_TRUE(h.sim.idle()) << "seed " << seed;
+    EXPECT_EQ(h.fired, h.expected()) << "seed " << seed;
+    EXPECT_EQ(h.sim.overflowEvents(), 0u);
   }
 }
 

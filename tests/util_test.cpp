@@ -214,32 +214,6 @@ TEST(RunningStatsTest, Ci95ShrinksWithSamples) {
   EXPECT_GT(small.ci95HalfWidth(), large.ci95HalfWidth());
 }
 
-// --------------------------------------------------------- PercentileTracker
-
-TEST(PercentileTest, ExactQuartiles) {
-  PercentileTracker t;
-  for (int i = 1; i <= 101; ++i) t.add(i);
-  EXPECT_DOUBLE_EQ(t.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(t.percentile(50), 51.0);
-  EXPECT_DOUBLE_EQ(t.percentile(100), 101.0);
-  EXPECT_DOUBLE_EQ(t.percentile(25), 26.0);
-}
-
-TEST(PercentileTest, EmptyIsZero) {
-  PercentileTracker t;
-  EXPECT_DOUBLE_EQ(t.percentile(50), 0.0);
-}
-
-TEST(PercentileTest, AddAfterQueryResorts) {
-  PercentileTracker t;
-  t.add(10);
-  EXPECT_DOUBLE_EQ(t.median(), 10.0);
-  t.add(0);
-  t.add(20);
-  EXPECT_DOUBLE_EQ(t.median(), 10.0);
-  EXPECT_DOUBLE_EQ(t.percentile(0), 0.0);
-}
-
 // ---------------------------------------------------------------- statistics
 
 TEST(CorrelationTest, PerfectAndInverse) {
