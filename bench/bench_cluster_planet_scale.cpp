@@ -4,40 +4,46 @@
 // metaverse vision — "thousands of users in one world" — survives the
 // measured per-server scaling walls (§6, §7, §9). This bench answers with
 // the architecture real platforms use (§4.2): many relay instances behind a
-// capacity-aware gateway. Each instance stays inside the regime the paper
-// measured (hundreds of users, linear fan-out), a mid-run drain exercises
-// live room migration at scale, and the run asserts zero delivery loss.
+// control plane that places users and brokers drains. Each instance stays
+// inside the regime the paper measured (hundreds of users, linear fan-out),
+// a mid-run drain of the last shard exercises live room migration at scale,
+// and every run asserts zero delivery loss.
 //
-// Determinism: the whole sweep is seed-keyed and merged in seed order, so
-// the report (and the digest it prints) is byte-identical for any
-// MSIM_THREADS. Extra knobs:
+// Every mode runs the same runtime, the PDES-partitioned cluster
+// (cluster/partitioned.hpp): one partition per shard plus a control
+// partition, with audit digests byte-identical for any worker count.
 //   MSIM_CLUSTER_USERS      total users          (default 10000)
 //   MSIM_CLUSTER_INSTANCES  shard count          (default 32)
 //
-// Threads-sweep mode (`--threads-sweep` or MSIM_PDES_SWEEP=1): runs ONE
-// seed of the same workload on the PDES-partitioned cluster
-// (cluster/partitioned.hpp) at 1/2/4/8 engine workers, reports wall-clock
-// speedup and events/s-per-core, asserts the audit digest is byte-identical
-// across all worker counts, and emits a benchmark JSON (stdout, plus
-// MSIM_PDES_JSON=<path> to write a file) whose context records the host
-// core count and CPU model so committed baselines are comparable across
-// machines.
+// Default mode: a seed sweep (MSIM_SEEDS, default 3) of 10 Hz all-to-all
+// avatar updates. Each run's engine leases whatever workers the sweep
+// leaves, and the sweep merges in seed order, so the report (and the digest
+// it prints) is byte-identical for any MSIM_THREADS. The per-instance check
+// compares per-user downlink on the shards the drain did not touch with a
+// single relay room at one shard's occupancy.
+//
+// Threads-sweep mode (`--threads-sweep` or MSIM_PDES_SWEEP=1): ONE seed of
+// the same workload at 1/2/4/8 engine workers.
 //
 // Million mode (`--million` or MSIM_PDES_MILLION=1): the headline run —
-// 1,000,000 users on >= 64 shard partitions (MSIM_CLUSTER_USERS /
-// MSIM_CLUSTER_INSTANCES still override, which is how CI smokes a scaled
-// copy), on the direct-link mesh with adaptive barrier windows, an
-// interest-grid lattice population (all-to-all fan-out is physically
-// impossible at 15k+ users per shard — AOI scoping is what makes the room
-// sizes meaningful, see DESIGN.md §11), interest-scoped ghost forwarding
-// between ring neighbours, and a mid-run drain of the last shard. The
-// population is bulk pre-reserved (rooms, grid cells, gateway book) before
-// any user joins, so setup does one allocation pass instead of a million
-// rehashes. Reports events/s-per-core, wall-clock speedup, and peak RSS
-// (VmHWM — a process-wide high-water mark, so the headline number is the
-// final row's), and exits nonzero unless the audit digest is byte-identical
-// across {1,2,8} workers, zero deliveries were lost, and the ghost ledger
-// balances exactly.
+// 1,000,000 users on >= 64 shard partitions (the knobs above still
+// override, which is how CI smokes a scaled copy) at 2 Hz, on the
+// direct-link mesh with adaptive barrier windows, an interest-grid lattice
+// population (all-to-all fan-out is physically impossible at 15k+ users per
+// shard — AOI scoping is what makes the room sizes meaningful, see
+// DESIGN.md §11), and interest-scoped ghost forwarding between ring
+// neighbours. Rooms and grid cells are bulk pre-reserved before any user
+// joins, so setup does one allocation pass instead of a million rehashes.
+//
+// Both worker-row modes run the first worker count once, untimed, before
+// the timed rows, so no row pays the process's cold start and the speedups
+// compare warm runs. They report setup and wall seconds, events/s-per-core,
+// speedup and peak RSS (VmHWM — a process-wide high-water mark, so the
+// headline number is the final row's), emit a benchmark JSON (stdout, plus
+// MSIM_PDES_JSON=<path> to write a file) whose context records the host
+// core count and CPU model, and exit nonzero unless the audit digest is
+// byte-identical across the worker counts, zero deliveries were lost, and
+// the ghost ledger balances exactly.
 
 #include <chrono>
 #include <cinttypes>
@@ -48,7 +54,6 @@
 
 #include "avatar/codec.hpp"
 #include "avatar/spec.hpp"
-#include "cluster/manager.hpp"
 #include "cluster/partitioned.hpp"
 #include "common.hpp"
 #include "core/seedsweep.hpp"
@@ -66,136 +71,6 @@ int envInt(const char* name, int fallback) {
   return fallback;
 }
 
-struct RunResult {
-  std::uint64_t broadcasts{0};
-  std::uint64_t expectedDeliveries{0};
-  std::uint64_t delivered{0};
-  std::uint64_t migrations{0};
-  std::uint64_t migratedUsers{0};
-  double maxUtilization{0.0};
-  double perUserDownMbps{0.0};  // mean over shards untouched by the drain
-  std::vector<std::size_t> usersPerShard;
-  std::vector<std::uint64_t> forwardsPerShard;
-};
-
-RunResult runCluster(std::uint64_t seed, int users, int instances,
-                     Duration measure) {
-  Simulator sim{seed};
-  ClusterConfig cfg;
-  cfg.initialInstances = instances;
-  cfg.policy = PlacementPolicy::LeastLoaded;
-  cfg.regions = {regions::usEast(), regions::usWest(), regions::europe()};
-  InstanceManager mgr{sim, DataSpec{}, cfg};
-
-  mgr.reserveUsers(static_cast<std::size_t>(users));
-
-  RunResult r;
-  mgr.setDeliverySink(
-      [&r](std::uint32_t, std::uint64_t, const Message&) { ++r.delivered; });
-
-  const auto& allRegions = cfg.regions;
-  for (int i = 0; i < users; ++i) {
-    mgr.joinUser(static_cast<std::uint64_t>(i + 1),
-                 allRegions[static_cast<std::size_t>(i) % allRegions.size()]);
-  }
-
-  // One pacer drives every resident at the avatar update rate (10 Hz): a
-  // per-user PeriodicTask at this scale would be 10k timers for no fidelity.
-  AvatarSpec avatar;
-  Message pose;
-  pose.kind = avatarmsg::kPoseUpdate;
-  pose.size = avatar.bytesPerUpdate;
-  std::uint64_t seq = 0;
-  std::vector<std::uint64_t> idsScratch;
-  PeriodicTask pacer{
-      sim, Duration::seconds(1.0 / avatar.updateRateHz), [&] {
-        for (const auto& inst : mgr.instances()) {
-          if (inst->userCount() < 2) continue;
-          idsScratch = inst->room().userIds();
-          const std::uint64_t fanout = idsScratch.size() - 1;
-          for (const std::uint64_t id : idsScratch) {
-            pose.senderId = id;
-            pose.sequence = ++seq;
-            inst->room().broadcast(id, pose);
-            ++r.broadcasts;
-            r.expectedDeliveries += fanout;
-          }
-        }
-      }};
-
-  // Scripted drain halfway through: the last shard live-migrates.
-  sim.schedule(TimePoint::epoch() + measure * 0.5, [&mgr, instances] {
-    mgr.drain(static_cast<std::uint32_t>(instances - 1));
-  });
-
-  sim.runFor(measure);
-  pacer.stop();
-  // Flush the in-flight tail (the cluster's load samplers tick forever, so
-  // run in bounded slices until every scheduled forward has landed).
-  for (int guard = 0; guard < 1000 && r.delivered < r.expectedDeliveries;
-       ++guard) {
-    sim.runFor(Duration::seconds(10));
-  }
-
-  const ClusterStats stats = mgr.stats();
-  r.migrations = stats.migrations;
-  r.migratedUsers = stats.migratedUsers;
-  // Per-user downlink from shards the drain did not touch: the drained
-  // source ends empty and the target runs at double occupancy, so only the
-  // untouched shards are comparable to a steady single-relay room.
-  const std::size_t perShard =
-      (static_cast<std::size_t>(users) + instances - 1) /
-      static_cast<std::size_t>(instances);
-  double downBpsSum = 0.0;
-  std::size_t counted = 0;
-  for (const auto& row : stats.shards) {
-    r.usersPerShard.push_back(row.users);
-    r.forwardsPerShard.push_back(row.forwards);
-    if (row.utilization > r.maxUtilization) r.maxUtilization = row.utilization;
-    if (row.users == perShard) {
-      downBpsSum += static_cast<double>(row.deliveredBytes.toBits()) /
-                    measure.toSeconds() / static_cast<double>(row.users);
-      counted += 1;
-    }
-  }
-  r.perUserDownMbps = counted > 0 ? downBpsSum / counted / 1e6 : 0.0;
-  return r;
-}
-
-// A single relay room at one shard's occupancy, driven identically — the
-// paper's measurement setting, scaled to the cluster's per-instance regime.
-double runSingleRelayPerUserMbps(std::uint64_t seed, int users,
-                                 Duration measure) {
-  Simulator sim{seed};
-  RelayRoom room{sim, DataSpec{}};
-  room.reserveUsers(static_cast<std::size_t>(users));
-  std::uint64_t deliveredBytes = 0;
-  room.hooks().onLocalDeliver = [&deliveredBytes](std::uint64_t,
-                                                  const Message& m) {
-    deliveredBytes += static_cast<std::uint64_t>(m.size.toBytes());
-  };
-  for (int i = 0; i < users; ++i) {
-    room.joinDetached(static_cast<std::uint64_t>(i + 1));
-  }
-  AvatarSpec avatar;
-  Message pose;
-  pose.kind = avatarmsg::kPoseUpdate;
-  pose.size = avatar.bytesPerUpdate;
-  std::uint64_t seq = 0;
-  PeriodicTask pacer{sim, Duration::seconds(1.0 / avatar.updateRateHz), [&] {
-                       for (int i = 0; i < users; ++i) {
-                         pose.senderId = static_cast<std::uint64_t>(i + 1);
-                         pose.sequence = ++seq;
-                         room.broadcast(pose.senderId, pose);
-                       }
-                     }};
-  sim.runFor(measure);
-  pacer.stop();
-  sim.run();
-  return static_cast<double>(deliveredBytes) * 8.0 / measure.toSeconds() /
-         static_cast<double>(users) / 1e6;
-}
-
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : s) {
@@ -211,10 +86,18 @@ std::string fmtD(double v, int prec) {
   return buf;
 }
 
-// ---- threads-sweep mode (PDES-partitioned run) ----------------------------
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
 
 // detlint:allow(wall-clock) measures the bench harness's own wall time on the host — speedup is the quantity under test and never feeds simulated behaviour
 using WallClock = std::chrono::steady_clock;
+
+double secondsSince(WallClock::time_point t0) {
+  return std::chrono::duration<double>(WallClock::now() - t0).count();
+}
 
 std::string cpuModel() {
   std::ifstream in{"/proc/cpuinfo"};
@@ -232,132 +115,6 @@ std::string cpuModel() {
   return "unknown";
 }
 
-struct SweepRow {
-  unsigned threads{1};
-  double wallSeconds{0.0};
-  std::uint64_t events{0};
-  std::uint64_t rounds{0};
-  std::uint64_t digest{0};
-  std::uint64_t lost{0};
-  std::uint64_t migratedUsers{0};
-};
-
-SweepRow runPartitioned(unsigned threads, int users, int instances,
-                        Duration measure) {
-  cluster::PartitionedClusterConfig cfg;
-  cfg.seed = defaultSeeds(1)[0];
-  cfg.users = users;
-  cfg.shards = instances;
-  cfg.threads = threads;
-  AvatarSpec avatar;
-  cfg.updateProto.kind = avatarmsg::kPoseUpdate;
-  cfg.updateProto.size = avatar.bytesPerUpdate;
-  cfg.updateRateHz = avatar.updateRateHz;
-  cluster::PartitionedCluster run{std::move(cfg)};
-  run.scheduleDrain(static_cast<std::uint32_t>(instances - 1),
-                    TimePoint::epoch() + measure * 0.5);
-
-  const WallClock::time_point t0 = WallClock::now();
-  const cluster::PartitionedClusterStats stats =
-      run.run(measure, Duration::seconds(5));
-  const double wall =
-      std::chrono::duration<double>(WallClock::now() - t0).count();
-
-  SweepRow row;
-  row.threads = threads;
-  row.wallSeconds = wall;
-  row.events = stats.engine.eventsExecuted;
-  row.rounds = stats.engine.rounds;
-  row.digest = run.digest();
-  row.lost = stats.expectedDeliveries - stats.delivered;
-  row.migratedUsers = stats.migratedUsers;
-  return row;
-}
-
-int runThreadsSweep(int users, int instances, Duration measure) {
-  bench::header(
-      "Planet scale, PDES threads sweep — " + std::to_string(users) +
-          " users on " + std::to_string(instances) + " shard partitions",
-      "one run split across per-shard logical processes; digest must be "
-      "byte-identical at every worker count");
-
-  const unsigned hostCores = std::thread::hardware_concurrency();
-  const std::string model = cpuModel();
-  const std::vector<unsigned> counts = {1, 2, 4, 8};
-  std::vector<SweepRow> rows;
-  rows.reserve(counts.size());
-  for (const unsigned n : counts) {
-    rows.push_back(runPartitioned(n, users, instances, measure));
-  }
-
-  const double base = rows.front().wallSeconds;
-  TablePrinter table{{"threads", "wall s", "speedup", "events/s",
-                      "events/s/core", "rounds", "digest"}};
-  for (const SweepRow& r : rows) {
-    const double perSec =
-        r.wallSeconds > 0.0 ? static_cast<double>(r.events) / r.wallSeconds : 0.0;
-    char digestHex[32];
-    std::snprintf(digestHex, sizeof(digestHex), "%016" PRIx64, r.digest);
-    table.addRow({std::to_string(r.threads), fmtD(r.wallSeconds, 3),
-                  fmtD(r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0, 2),
-                  fmtD(perSec / 1e6, 3) + "M",
-                  fmtD(perSec / 1e6 / r.threads, 3) + "M",
-                  std::to_string(r.rounds), digestHex});
-  }
-  table.print(std::cout);
-
-  bool digestsMatch = true;
-  std::uint64_t lostTotal = 0;
-  for (const SweepRow& r : rows) {
-    digestsMatch = digestsMatch && r.digest == rows.front().digest;
-    lostTotal += r.lost;
-  }
-  const double speedup8 =
-      rows.back().wallSeconds > 0.0 ? base / rows.back().wallSeconds : 0.0;
-  std::printf("\ndigest check: %s across {1,2,4,8} workers\n",
-              digestsMatch ? "byte-identical" : "DIVERGED");
-  std::printf("zero-loss check: %" PRIu64 " deliveries lost (must be 0)\n",
-              lostTotal);
-  std::printf("speedup at 8 workers: %.2fx on a %u-core host\n", speedup8,
-              hostCores);
-
-  // Benchmark JSON: host context + one row per worker count.
-  std::string json = "{\n  \"context\": {\n";
-  json += "    \"host_cores\": " + std::to_string(hostCores) + ",\n";
-  json += "    \"cpu_model\": \"" + model + "\",\n";
-  json += "    \"users\": " + std::to_string(users) + ",\n";
-  json += "    \"shards\": " + std::to_string(instances) + ",\n";
-  json += "    \"measure_s\": " + fmtD(measure.toSeconds(), 1) + "\n  },\n";
-  json += "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    const double perSec =
-        r.wallSeconds > 0.0 ? static_cast<double>(r.events) / r.wallSeconds : 0.0;
-    char digestHex[32];
-    std::snprintf(digestHex, sizeof(digestHex), "%016" PRIx64, r.digest);
-    json += "    {\"name\": \"BM_ClusterPdes/threads:" +
-            std::to_string(r.threads) + "\", \"real_time\": " +
-            fmtD(r.wallSeconds, 6) + ", \"time_unit\": \"s\", " +
-            "\"items_per_second\": " + fmtD(perSec, 1) + ", " +
-            "\"events_per_second_per_core\": " + fmtD(perSec / r.threads, 1) +
-            ", \"speedup\": " +
-            fmtD(r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0, 3) +
-            ", \"rounds\": " + std::to_string(r.rounds) + ", \"digest\": \"" +
-            digestHex + "\"}";
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-  std::printf("\n%s", json.c_str());
-  if (const char* path = std::getenv("MSIM_PDES_JSON")) {
-    std::ofstream out{path};
-    out << json;
-    std::printf("wrote %s\n", path);
-  }
-  return digestsMatch && lostTotal == 0 ? 0 : 1;
-}
-
-// ---- million mode (1M users, 64+ shards, interest-scoped) -----------------
-
 /// Process peak resident set (VmHWM) in MB. A high-water mark: it only ever
 /// rises, so per-row values after the first run are lower bounds from the
 /// earlier runs and the final row is the honest headline.
@@ -372,125 +129,132 @@ double peakRssMb() {
   return 0.0;
 }
 
-struct MillionRow {
-  unsigned threads{1};
-  double wallSeconds{0.0};
+/// The planet-scale workload: every resident sends a pose update at the
+/// avatar rate (10 Hz) to every other resident of its shard.
+PartitionedClusterConfig clusterConfig(std::uint64_t seed, int users,
+                                       int shards) {
+  PartitionedClusterConfig cfg;
+  cfg.seed = seed;
+  cfg.users = users;
+  cfg.shards = shards;
+  const AvatarSpec avatar;
+  cfg.updateProto.kind = avatarmsg::kPoseUpdate;
+  cfg.updateProto.size = avatar.bytesPerUpdate;
+  cfg.updateRateHz = avatar.updateRateHz;
+  return cfg;
+}
+
+struct Row {
+  unsigned threads{0};
   double setupSeconds{0.0};
-  std::uint64_t events{0};
-  std::uint64_t rounds{0};
-  std::uint64_t coalescedWindows{0};
+  double wallSeconds{0.0};
+  PartitionedClusterStats stats;
   std::uint64_t digest{0};
-  std::uint64_t lost{0};
-  std::uint64_t migratedUsers{0};
-  std::uint64_t migrationHops{0};
-  std::uint64_t ghostsSent{0};
-  std::uint64_t ghostsReceived{0};
   double peakRssMb{0.0};
 };
 
-MillionRow runMillion(unsigned threads, int users, int shards,
-                      Duration measure) {
-  cluster::PartitionedClusterConfig cfg;
-  cfg.seed = defaultSeeds(1)[0];
-  cfg.users = users;
-  cfg.shards = shards;
+/// One run: build the cluster, drain the last shard halfway through the
+/// window, pace over [0, measure), settle the tail.
+Row runOnce(PartitionedClusterConfig cfg, unsigned threads, Duration measure) {
   cfg.threads = threads;
-  AvatarSpec avatar;
-  cfg.updateProto.kind = avatarmsg::kPoseUpdate;
-  cfg.updateProto.size = avatar.bytesPerUpdate;
-  // ~2 Hz: the decimated cadence interest management leaves for the bulk of
-  // a huge room (full-rate neighbours are the AOI's job, not the pacer's).
-  cfg.updateRateHz = 2.0;
-  cfg.dataSpec.interestGrid = true;
-  cfg.dataSpec.interestCellM = 8.0;
-  cfg.dataSpec.interestRadiusM = 8.0;      // lattice ring: ~12 neighbours
-  cfg.dataSpec.interestFullRadiusM = 8.0;  // all of them at full rate
-  cfg.latticeSpacingM = 4.0;  // 4 users per 8 m AOI cell, pre-reservable
-  cfg.directShardLinks = true;
-  cfg.adaptiveWindows = true;
-  cfg.interestForwarding = true;
-  cfg.ghostRadiusM = 25.0;
-
-  const WallClock::time_point s0 = WallClock::now();
-  cluster::PartitionedCluster run{std::move(cfg)};
-  const double setup =
-      std::chrono::duration<double>(WallClock::now() - s0).count();
-  run.scheduleDrain(static_cast<std::uint32_t>(shards - 1),
-                    TimePoint::epoch() + measure * 0.5);
-
-  const WallClock::time_point t0 = WallClock::now();
-  const cluster::PartitionedClusterStats stats =
-      run.run(measure, Duration::seconds(5));
-  const double wall =
-      std::chrono::duration<double>(WallClock::now() - t0).count();
-
-  MillionRow row;
+  const auto lastShard = static_cast<std::uint32_t>(cfg.shards - 1);
+  Row row;
   row.threads = threads;
-  row.wallSeconds = wall;
-  row.setupSeconds = setup;
-  row.events = stats.engine.eventsExecuted;
-  row.rounds = stats.engine.rounds;
-  row.coalescedWindows = stats.engine.coalescedWindows;
+  const WallClock::time_point s0 = WallClock::now();
+  PartitionedCluster run{std::move(cfg)};
+  row.setupSeconds = secondsSince(s0);
+  run.scheduleDrain(lastShard, TimePoint::epoch() + measure * 0.5);
+  const WallClock::time_point t0 = WallClock::now();
+  row.stats = run.run(measure, Duration::seconds(5));
+  row.wallSeconds = secondsSince(t0);
   row.digest = run.digest();
-  row.lost = stats.expectedDeliveries - stats.delivered;
-  row.migratedUsers = stats.migratedUsers;
-  row.migrationHops = stats.migrationHops;
-  row.ghostsSent = stats.ghostsSent;
-  row.ghostsReceived = stats.ghostsReceived;
   row.peakRssMb = peakRssMb();
   return row;
 }
 
-int runMillionMode(int users, int shards, Duration measure) {
-  bench::header(
-      "Million-user partitioned run — " + std::to_string(users) +
-          " users on " + std::to_string(shards) + " shard partitions",
-      "direct links + adaptive windows + AOI lattice; digest must be "
-      "byte-identical across {1,2,8} workers with zero lost deliveries");
+// ---- worker rows (threads sweep, million) -----------------------------------
 
+int runWorkerRows(const std::string& title, const std::string& reproduces,
+                  const std::string& benchName,
+                  const PartitionedClusterConfig& cfg,
+                  const std::vector<unsigned>& counts, Duration measure) {
+  bench::header(title, reproduces);
   const unsigned hostCores = std::thread::hardware_concurrency();
-  const std::vector<unsigned> counts = {1, 2, 8};
-  std::vector<MillionRow> rows;
+  std::string countList;
+  for (const unsigned n : counts) {
+    countList += (countList.empty() ? "" : ",") + std::to_string(n);
+  }
+
+  (void)runOnce(cfg, counts.front(), measure);  // untimed warm-up
+  std::vector<Row> rows;
   rows.reserve(counts.size());
   for (const unsigned n : counts) {
-    rows.push_back(runMillion(n, users, shards, measure));
-    const MillionRow& r = rows.back();
+    rows.push_back(runOnce(cfg, n, measure));
+    const Row& r = rows.back();
     std::printf("  [%u worker%s] wall %.3fs (+%.3fs setup), %" PRIu64
                 " events, %" PRIu64 " rounds, peak RSS %.0f MB\n",
                 r.threads, r.threads == 1 ? "" : "s", r.wallSeconds,
-                r.setupSeconds, r.events, r.rounds, r.peakRssMb);
+                r.setupSeconds, r.stats.engine.eventsExecuted,
+                r.stats.engine.rounds, r.peakRssMb);
   }
 
   const double base = rows.front().wallSeconds;
-  TablePrinter table{{"threads", "wall s", "speedup", "events/s",
+  const auto speedup = [base](const Row& r) {
+    return r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0;
+  };
+  const auto perSec = [](const Row& r) {
+    return r.wallSeconds > 0.0
+               ? static_cast<double>(r.stats.engine.eventsExecuted) /
+                     r.wallSeconds
+               : 0.0;
+  };
+  TablePrinter table{{"threads", "setup s", "wall s", "speedup", "events/s",
                       "events/s/core", "rounds", "coalesced", "peak RSS MB",
                       "digest"}};
-  for (const MillionRow& r : rows) {
-    const double perSec =
-        r.wallSeconds > 0.0 ? static_cast<double>(r.events) / r.wallSeconds
-                            : 0.0;
-    char digestHex[32];
-    std::snprintf(digestHex, sizeof(digestHex), "%016" PRIx64, r.digest);
-    table.addRow({std::to_string(r.threads), fmtD(r.wallSeconds, 3),
-                  fmtD(r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0, 2),
-                  fmtD(perSec / 1e6, 3) + "M",
-                  fmtD(perSec / 1e6 / r.threads, 3) + "M",
-                  std::to_string(r.rounds), std::to_string(r.coalescedWindows),
-                  fmtD(r.peakRssMb, 0), digestHex});
-  }
-  table.print(std::cout);
-
   bool digestsMatch = true;
   bool ledgerBalanced = true;
   std::uint64_t lostTotal = 0;
-  for (const MillionRow& r : rows) {
+  std::string json = "{\n  \"context\": {\n";
+  json += "    \"host_cores\": " + std::to_string(hostCores) + ",\n";
+  json += "    \"cpu_model\": \"" + cpuModel() + "\",\n";
+  json += "    \"users\": " + std::to_string(cfg.users) + ",\n";
+  json += "    \"shards\": " + std::to_string(cfg.shards) + ",\n";
+  json += "    \"measure_s\": " + fmtD(measure.toSeconds(), 1) + "\n  },\n";
+  json += "  \"benchmarks\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    const pdes::RunReport& e = r.stats.engine;
     digestsMatch = digestsMatch && r.digest == rows.front().digest;
-    ledgerBalanced = ledgerBalanced && r.ghostsSent == r.ghostsReceived;
-    lostTotal += r.lost;
+    ledgerBalanced =
+        ledgerBalanced && r.stats.ghostsSent == r.stats.ghostsReceived;
+    lostTotal += r.stats.expectedDeliveries - r.stats.delivered;
+    table.addRow({std::to_string(r.threads), fmtD(r.setupSeconds, 3),
+                  fmtD(r.wallSeconds, 3), fmtD(speedup(r), 2),
+                  fmtD(perSec(r) / 1e6, 3) + "M",
+                  fmtD(perSec(r) / 1e6 / r.threads, 3) + "M",
+                  std::to_string(e.rounds), std::to_string(e.coalescedWindows),
+                  fmtD(r.peakRssMb, 0), hex(r.digest)});
+    json += "    {\"name\": \"" + benchName + "/threads:" +
+            std::to_string(r.threads) + "\", \"real_time\": " +
+            fmtD(r.wallSeconds, 6) + ", \"time_unit\": \"s\", " +
+            "\"setup_s\": " + fmtD(r.setupSeconds, 6) + ", " +
+            "\"items_per_second\": " + fmtD(perSec(r), 1) + ", " +
+            "\"events_per_second_per_core\": " +
+            fmtD(perSec(r) / r.threads, 1) +
+            ", \"speedup\": " + fmtD(speedup(r), 3) +
+            ", \"rounds\": " + std::to_string(e.rounds) +
+            ", \"coalesced_windows\": " + std::to_string(e.coalescedWindows) +
+            ", \"peak_rss_mb\": " + fmtD(r.peakRssMb, 1) + ", \"digest\": \"" +
+            hex(r.digest) + "\"}";
+    json += i + 1 < rows.size() ? ",\n" : "\n";
   }
-  const MillionRow& first = rows.front();
-  std::printf("\ndigest check: %s across {1,2,8} workers\n",
-              digestsMatch ? "byte-identical" : "DIVERGED");
+  json += "  ]\n}\n";
+  table.print(std::cout);
+
+  const PartitionedClusterStats& first = rows.front().stats;
+  const Row& last = rows.back();
+  std::printf("\ndigest check: %s across {%s} workers\n",
+              digestsMatch ? "byte-identical" : "DIVERGED", countList.c_str());
   std::printf("zero-loss check: %" PRIu64 " deliveries lost (must be 0)\n",
               lostTotal);
   std::printf("ghost ledger: %" PRIu64 " sent / %" PRIu64 " received (%s)\n",
@@ -499,40 +263,12 @@ int runMillionMode(int users, int shards, Duration measure) {
   std::printf("drain: %" PRIu64 " users migrated in %" PRIu64
               " cross-partition hops (2 per direct-link migration)\n",
               first.migratedUsers, first.migrationHops);
-  std::printf("peak RSS: %.0f MB for %d users (%.1f KB/user) on a %u-core "
-              "host\n",
-              rows.back().peakRssMb, users,
-              rows.back().peakRssMb * 1024.0 / static_cast<double>(users),
-              hostCores);
+  std::printf("speedup at %u workers: %.2fx on a %u-core host\n", last.threads,
+              speedup(last), hostCores);
+  std::printf("peak RSS: %.0f MB for %d users (%.1f KB/user)\n",
+              last.peakRssMb, cfg.users,
+              last.peakRssMb * 1024.0 / static_cast<double>(cfg.users));
 
-  std::string json = "{\n  \"context\": {\n";
-  json += "    \"host_cores\": " + std::to_string(hostCores) + ",\n";
-  json += "    \"cpu_model\": \"" + cpuModel() + "\",\n";
-  json += "    \"users\": " + std::to_string(users) + ",\n";
-  json += "    \"shards\": " + std::to_string(shards) + ",\n";
-  json += "    \"measure_s\": " + fmtD(measure.toSeconds(), 1) + "\n  },\n";
-  json += "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MillionRow& r = rows[i];
-    const double perSec =
-        r.wallSeconds > 0.0 ? static_cast<double>(r.events) / r.wallSeconds
-                            : 0.0;
-    char digestHex[32];
-    std::snprintf(digestHex, sizeof(digestHex), "%016" PRIx64, r.digest);
-    json += "    {\"name\": \"BM_ClusterPdesMillion/threads:" +
-            std::to_string(r.threads) + "\", \"real_time\": " +
-            fmtD(r.wallSeconds, 6) + ", \"time_unit\": \"s\", " +
-            "\"items_per_second\": " + fmtD(perSec, 1) + ", " +
-            "\"events_per_second_per_core\": " + fmtD(perSec / r.threads, 1) +
-            ", \"speedup\": " +
-            fmtD(r.wallSeconds > 0.0 ? base / r.wallSeconds : 0.0, 3) +
-            ", \"rounds\": " + std::to_string(r.rounds) +
-            ", \"coalesced_windows\": " + std::to_string(r.coalescedWindows) +
-            ", \"peak_rss_mb\": " + fmtD(r.peakRssMb, 1) + ", \"digest\": \"" +
-            digestHex + "\"}";
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
   std::printf("\n%s", json.c_str());
   if (const char* path = std::getenv("MSIM_PDES_JSON")) {
     std::ofstream out{path};
@@ -540,6 +276,126 @@ int runMillionMode(int users, int shards, Duration measure) {
     std::printf("wrote %s\n", path);
   }
   return digestsMatch && ledgerBalanced && lostTotal == 0 ? 0 : 1;
+}
+
+// ---- default mode (seed sweep) ----------------------------------------------
+
+// A single relay room at one shard's occupancy, driven identically — the
+// paper's measurement setting, scaled to the cluster's per-instance regime.
+// The stop event is scheduled before the tick one period earlier arms the
+// edge tick, so it runs first: the same half-open window [0, measure) the
+// cluster paces over.
+double singleRelayPerUserMbps(std::uint64_t seed, int users, Duration measure) {
+  Simulator sim{seed};
+  RelayRoom room{sim, DataSpec{}};
+  room.reserveUsers(static_cast<std::size_t>(users));
+  for (int i = 0; i < users; ++i) {
+    room.joinDetached(static_cast<std::uint64_t>(i + 1));
+  }
+  const AvatarSpec avatar;
+  Message pose;
+  pose.kind = avatarmsg::kPoseUpdate;
+  pose.size = avatar.bytesPerUpdate;
+  std::uint64_t seq = 0;
+  PeriodicTask pacer{sim, Duration::seconds(1.0 / avatar.updateRateHz), [&] {
+                       for (int i = 0; i < users; ++i) {
+                         pose.senderId = static_cast<std::uint64_t>(i + 1);
+                         pose.sequence = ++seq;
+                         room.broadcast(pose.senderId, pose);
+                       }
+                     }};
+  sim.schedule(TimePoint::epoch() + measure, [&pacer] { pacer.stop(); });
+  sim.runFor(measure);
+  return static_cast<double>(room.forwardedMessages()) *
+         static_cast<double>(pose.size.toBits()) / measure.toSeconds() /
+         static_cast<double>(users) / 1e6;
+}
+
+int runSeedSweepMode(int users, int shards) {
+  const int seeds = bench::seedCount(3);
+  const Duration measure = bench::measureWindow(10.0);
+  bench::header(
+      "Planet scale — " + std::to_string(users) + " users on " +
+          std::to_string(shards) + " relay instances",
+      "§9 extrapolation beyond Fig. 7/9's single-relay wall; " +
+          std::to_string(seeds) + " seeds, " +
+          std::to_string(static_cast<int>(measure.toSeconds())) + " s window");
+
+  const auto runs = runSeedSweep(
+      defaultSeeds(seeds), [users, shards, measure](std::uint64_t seed) {
+        return runOnce(clusterConfig(seed, users, shards), 0, measure);
+      });
+
+  // Per-user downlink from shards the drain did not touch: the drained
+  // source ends empty and the target runs at double occupancy, so only the
+  // shards left at exactly perShard users compare with a steady
+  // single-relay room.
+  const std::size_t perShard =
+      (static_cast<std::size_t>(users) + shards - 1) /
+      static_cast<std::size_t>(shards);
+  const double updateBits =
+      static_cast<double>(AvatarSpec{}.bytesPerUpdate.toBits());
+  std::string report;
+  TablePrinter table{{"seed#", "broadcasts", "delivered", "lost", "migrated",
+                      "max util", "per-user down Mbps", "audit digest"}};
+  std::uint64_t lostTotal = 0;
+  double downMean = 0.0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const PartitionedClusterStats& st = runs[i].stats;
+    const std::uint64_t lost = st.expectedDeliveries - st.delivered;
+    lostTotal += lost;
+    double downSum = 0.0;
+    std::size_t counted = 0;
+    for (std::size_t s = 0; s < st.usersPerShard.size(); ++s) {
+      if (st.usersPerShard[s] != perShard) continue;
+      downSum += static_cast<double>(st.forwardsPerShard[s]) * updateBits /
+                 measure.toSeconds() / static_cast<double>(perShard);
+      counted += 1;
+    }
+    const double down = counted > 0 ? downSum / counted / 1e6 : 0.0;
+    downMean += down;
+    table.addRow({std::to_string(i), std::to_string(st.broadcasts),
+                  std::to_string(st.delivered), std::to_string(lost),
+                  std::to_string(st.migratedUsers),
+                  fmtD(st.maxUtilization, 3), fmtD(down, 3),
+                  hex(runs[i].digest)});
+    report += std::to_string(st.broadcasts) + "," +
+              std::to_string(st.delivered) + "," + std::to_string(lost) + "," +
+              std::to_string(st.migratedUsers) + "," +
+              fmtD(st.maxUtilization, 6) + "," + hex(runs[i].digest) + ";";
+    for (const std::size_t u : st.usersPerShard) {
+      report += std::to_string(u) + " ";
+    }
+    for (const std::uint64_t f : st.forwardsPerShard) {
+      report += std::to_string(f) + " ";
+    }
+    report += "\n";
+  }
+  downMean /= static_cast<double>(runs.size());
+  table.print(std::cout);
+
+  // Per-instance regime vs the single-relay baseline the paper measured.
+  const double single = singleRelayPerUserMbps(
+      defaultSeeds(1)[0], static_cast<int>(perShard), measure);
+  const double deltaPct =
+      single > 0.0 ? 100.0 * (downMean - single) / single : 0.0;
+  std::printf(
+      "\nper-instance check: cluster %.3f Mbps/user vs single relay at "
+      "%zu users %.3f Mbps/user (%+.2f%%)\n",
+      downMean, perShard, single, deltaPct);
+  std::printf("zero-loss check: %" PRIu64
+              " deliveries lost across all seeds (must be 0 across drains)\n",
+              lostTotal);
+  std::printf("report digest: %016" PRIx64
+              "  (byte-identical for any MSIM_THREADS)\n",
+              fnv1a(report));
+  std::printf(
+      "\npaper checkpoints: each instance stays on Fig. 7's linear per-user\n"
+      "downlink at its own occupancy — the cluster breaks the aggregate\n"
+      "scaling wall (§6) without changing what any single user experiences;\n"
+      "a drained shard hands its room over live, losing nothing (§4.2's\n"
+      "elastic serving tier, made explicit).\n");
+  return lostTotal == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -555,77 +411,36 @@ int main(int argc, char** argv) {
     // 1M users over 64 shards unless overridden (CI smokes a scaled copy);
     // the window is short because the event rate, not the horizon, is the
     // quantity under test.
-    return runMillionMode(envInt("MSIM_CLUSTER_USERS", 1000000),
-                          envInt("MSIM_CLUSTER_INSTANCES", 64),
-                          bench::measureWindow(1.0));
+    PartitionedClusterConfig cfg =
+        clusterConfig(defaultSeeds(1)[0], envInt("MSIM_CLUSTER_USERS", 1000000),
+                      envInt("MSIM_CLUSTER_INSTANCES", 64));
+    // ~2 Hz: the decimated cadence interest management leaves for the bulk
+    // of a huge room (full-rate neighbours are the AOI's job, not the
+    // pacer's).
+    cfg.updateRateHz = 2.0;
+    cfg.dataSpec.interestGrid = true;
+    cfg.dataSpec.interestCellM = 8.0;
+    cfg.dataSpec.interestRadiusM = 8.0;      // lattice ring: ~12 neighbours
+    cfg.dataSpec.interestFullRadiusM = 8.0;  // all of them at full rate
+    cfg.latticeSpacingM = 4.0;  // 4 users per 8 m AOI cell, pre-reservable
+    cfg.interestForwarding = true;  // ghosts within ghostRadiusM (25 m)
+    return runWorkerRows(
+        "Million-user partitioned run — " + std::to_string(cfg.users) +
+            " users on " + std::to_string(cfg.shards) + " shard partitions",
+        "direct links + adaptive windows + AOI lattice; digest must be "
+        "byte-identical across {1,2,8} workers with zero lost deliveries",
+        "BM_ClusterPdesMillion", cfg, {1, 2, 8}, bench::measureWindow(1.0));
   }
   const int users = envInt("MSIM_CLUSTER_USERS", 10000);
-  const int instances = envInt("MSIM_CLUSTER_INSTANCES", 32);
+  const int shards = envInt("MSIM_CLUSTER_INSTANCES", 32);
   if (sweep) {
-    return runThreadsSweep(users, instances, bench::measureWindow(10.0));
+    return runWorkerRows(
+        "Planet scale, PDES threads sweep — " + std::to_string(users) +
+            " users on " + std::to_string(shards) + " shard partitions",
+        "one run split across per-shard logical processes; digest must be "
+        "byte-identical at every worker count",
+        "BM_ClusterPdes", clusterConfig(defaultSeeds(1)[0], users, shards),
+        {1, 2, 4, 8}, bench::measureWindow(10.0));
   }
-  const int seeds = bench::seedCount(3);
-  const Duration measure = bench::measureWindow(10.0);
-  bench::header(
-      "Planet scale — " + std::to_string(users) + " users on " +
-          std::to_string(instances) + " relay instances",
-      "§9 extrapolation beyond Fig. 7/9's single-relay wall; " +
-          std::to_string(seeds) + " seeds, " +
-          std::to_string(static_cast<int>(measure.toSeconds())) + " s window");
-
-  const auto runs = runSeedSweep(
-      defaultSeeds(seeds), [users, instances, measure](std::uint64_t seed) {
-        return runCluster(seed, users, instances, measure);
-      });
-
-  std::string report;
-  TablePrinter table{{"seed#", "broadcasts", "delivered", "lost", "migrated",
-                      "max util", "per-user down Mbps"}};
-  std::uint64_t lostTotal = 0;
-  double downMean = 0.0;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    const std::uint64_t lost = r.expectedDeliveries - r.delivered;
-    lostTotal += lost;
-    downMean += r.perUserDownMbps;
-    table.addRow({std::to_string(i), std::to_string(r.broadcasts),
-                  std::to_string(r.delivered), std::to_string(lost),
-                  std::to_string(r.migratedUsers), fmtD(r.maxUtilization, 3),
-                  fmtD(r.perUserDownMbps, 3)});
-    report += std::to_string(r.broadcasts) + "," +
-              std::to_string(r.delivered) + "," + std::to_string(lost) + "," +
-              std::to_string(r.migratedUsers) + "," +
-              fmtD(r.maxUtilization, 6) + ";";
-    for (const std::size_t u : r.usersPerShard) report += std::to_string(u) + " ";
-    for (const std::uint64_t f : r.forwardsPerShard) {
-      report += std::to_string(f) + " ";
-    }
-    report += "\n";
-  }
-  downMean /= static_cast<double>(runs.size());
-  table.print(std::cout);
-
-  // Per-instance regime vs the single-relay baseline the paper measured.
-  const int perShard = (users + instances - 1) / instances;
-  const double single =
-      runSingleRelayPerUserMbps(defaultSeeds(1)[0], perShard, measure);
-  const double deltaPct =
-      single > 0.0 ? 100.0 * (downMean - single) / single : 0.0;
-  std::printf(
-      "\nper-instance check: cluster %.3f Mbps/user vs single relay at "
-      "%d users %.3f Mbps/user (%+.2f%%)\n",
-      downMean, perShard, single, deltaPct);
-  std::printf("zero-loss check: %" PRIu64
-              " deliveries lost across all seeds (must be 0 across drains)\n",
-              lostTotal);
-  std::printf("report digest: %016" PRIx64
-              "  (byte-identical for any MSIM_THREADS)\n",
-              fnv1a(report));
-  std::printf(
-      "\npaper checkpoints: each instance stays on Fig. 7's linear per-user\n"
-      "downlink at its own occupancy — the cluster breaks the aggregate\n"
-      "scaling wall (§6) without changing what any single user experiences;\n"
-      "a drained shard hands its room over live, losing nothing (§4.2's\n"
-      "elastic serving tier, made explicit).\n");
-  return lostTotal == 0 ? 0 : 1;
+  return runSeedSweepMode(users, shards);
 }

@@ -4,6 +4,16 @@
 
 namespace msim::cluster {
 
+namespace {
+
+/// A pinned shard that can still serve its users (Starting/Active).
+bool serving(const RelayInstance& inst) {
+  return inst.state() == InstanceState::Active ||
+         inst.state() == InstanceState::Starting;
+}
+
+}  // namespace
+
 const char* toString(PlacementPolicy p) {
   switch (p) {
     case PlacementPolicy::RegionAffinity: return "region-affinity";
@@ -34,21 +44,9 @@ RelayInstance* Gateway::place(std::uint64_t userKey, const Region& userRegion) {
   if (const std::uint32_t* id = assignment_.find(userKey)) {
     RelayInstance* inst = instances_[*id].get();
     // A stale pin onto a drained/stopped shard re-places the user.
-    if (inst->state() == InstanceState::Active ||
-        inst->state() == InstanceState::Starting) {
-      return inst;
-    }
-    bumpAssigned(*id, -1);
-    assignment_.erase(userKey);
+    if (serving(*inst)) return inst;
   }
-  RelayInstance* chosen = pick(userRegion);
-  if (chosen == nullptr) return nullptr;
-  assignment_.insert(userKey, chosen->id());
-  bumpAssigned(chosen->id(), +1);
-  ++placements_;
-  if (perInstance_.size() <= chosen->id()) perInstance_.resize(chosen->id() + 1);
-  ++perInstance_[chosen->id()];
-  return chosen;
+  return replace(userKey, userRegion);
 }
 
 RelayInstance* Gateway::placeReconnect(std::uint64_t userKey,
@@ -56,21 +54,25 @@ RelayInstance* Gateway::placeReconnect(std::uint64_t userKey,
   const std::uint32_t* id = assignment_.find(userKey);
   if (id == nullptr) return place(userKey, userRegion);  // never placed
   RelayInstance* pinned = instances_[*id].get();
-  if (pinned->state() == InstanceState::Active ||
-      pinned->state() == InstanceState::Starting) {
+  if (serving(*pinned)) {
     ++reconnectsSticky_;
     return pinned;
   }
   // The pinned shard is Draining/Stopped: drop the pin and run the policy
   // again, exactly as a fresh placement (counts as one).
-  bumpAssigned(*id, -1);
-  assignment_.erase(userKey);
+  RelayInstance* chosen = replace(userKey, userRegion);
+  if (chosen != nullptr) ++reconnectsReplaced_;
+  return chosen;
+}
+
+RelayInstance* Gateway::replace(std::uint64_t userKey,
+                                const Region& userRegion) {
+  forget(userKey);
   RelayInstance* chosen = pick(userRegion);
   if (chosen == nullptr) return nullptr;
   assignment_.insert(userKey, chosen->id());
   bumpAssigned(chosen->id(), +1);
   ++placements_;
-  ++reconnectsReplaced_;
   if (perInstance_.size() <= chosen->id()) perInstance_.resize(chosen->id() + 1);
   ++perInstance_[chosen->id()];
   return chosen;

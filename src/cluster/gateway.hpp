@@ -41,8 +41,8 @@ class Gateway {
   [[nodiscard]] PlacementPolicy policy() const { return policy_; }
   void setPolicy(PlacementPolicy p) { policy_ = p; }
 
-  /// Pre-sizes the assignment table for a bulk population of `users` so the
-  /// join loop of a large run (the million-user bench) never rehashes
+  /// Pre-sizes the assignment table for a bulk population of `users` so a
+  /// large join loop (InstanceManager::reserveUsers) never rehashes
   /// mid-placement.
   void reserveUsers(std::size_t users) { assignment_.reserve(users); }
 
@@ -84,6 +84,9 @@ class Gateway {
   }
 
  private:
+  /// Drops any pin, runs the policy and pins the pick (counted as a
+  /// placement); nullptr when no shard accepts users.
+  RelayInstance* replace(std::uint64_t userKey, const Region& userRegion);
   [[nodiscard]] RelayInstance* pick(const Region& userRegion) const;
   /// Occupancy a placement decision sees: assignments or already-joined room
   /// residents, whichever is higher.

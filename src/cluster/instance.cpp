@@ -49,6 +49,19 @@ void RelayInstance::stop() {
   // alive here lets in-flight deliveries complete after the shard stops.
 }
 
+RelayRoomSnapshot RelayInstance::evacuate() {
+  RelayRoomSnapshot snap = room_->exportSnapshot();
+  for (const RelayUserRecord& u : snap.users) room_->leave(u.id);
+  return snap;
+}
+
+void RelayInstance::adopt(
+    const RelayRoomSnapshot& snap,
+    const std::function<RelayServer*(std::uint64_t)>& homeFor) {
+  room_->reserveUsers(userCount() + snap.users.size());
+  room_->importSnapshot(snap, homeFor);
+}
+
 double RelayInstance::utilization() const {
   const double cap = capacity_.forwardCapacityPerSec();
   return cap > 0.0 ? ewmaForwardRate_ / cap : 0.0;

@@ -68,17 +68,21 @@ class RelayInstance {
   [[nodiscard]] const ShardCapacitySpec& capacity() const { return capacity_; }
   [[nodiscard]] std::size_t userCount() const { return room_->userCount(); }
 
-  /// True when the gateway may place new users here.
-  [[nodiscard]] bool acceptingUsers() const {
-    return state_ == InstanceState::Active &&
-           (capacity_.softUserCap <= 0 ||
-            static_cast<int>(userCount()) < capacity_.softUserCap);
-  }
-
   // ---- lifecycle ----------------------------------------------------------
   void activate();
   void beginDrain();
   void stop();
+
+  // ---- room hand-off (drain, crash, partitioned migration) -----------------
+  /// Exports the room in id order and leaves every member. Fan-out batches
+  /// already scheduled here captured their recipients at broadcast time, so
+  /// in-flight deliveries still land after the members are gone.
+  RelayRoomSnapshot evacuate();
+  /// Imports an evacuated room, pre-sized for the merged population so a
+  /// large import never rehashes a column mid-join. `homeFor` keeps
+  /// networked users homed on their replica (see RelayRoom::importSnapshot).
+  void adopt(const RelayRoomSnapshot& snap,
+             const std::function<RelayServer*(std::uint64_t)>& homeFor = {});
 
   // ---- capacity model -----------------------------------------------------
   /// EWMA of the room's forward rate, forwards/s.

@@ -47,23 +47,21 @@ RelayInstance& InstanceManager::addInstance(const Region& region,
 
 RelayInstance* InstanceManager::joinUser(std::uint64_t userId,
                                          const Region& region) {
-  RelayInstance* inst = gateway_->place(userId, region);
+  return admit(userId, gateway_->place(userId, region));
+}
+
+RelayInstance* InstanceManager::reconnectUser(std::uint64_t userId,
+                                              const Region& region) {
+  return admit(userId, gateway_->placeReconnect(userId, region));
+}
+
+RelayInstance* InstanceManager::admit(std::uint64_t userId,
+                                      RelayInstance* inst) {
   if (inst == nullptr) return nullptr;
   if (!inst->room().joinDetached(userId)) {
     // Room-level cap tripped (maxEventUsers) even though the gateway had it
     // as accepting; give up rather than loop over shards — the soft cap
     // should be set at or below the room cap.
-    gateway_->forget(userId);
-    return nullptr;
-  }
-  return inst;
-}
-
-RelayInstance* InstanceManager::reconnectUser(std::uint64_t userId,
-                                              const Region& region) {
-  RelayInstance* inst = gateway_->placeReconnect(userId, region);
-  if (inst == nullptr) return nullptr;
-  if (!inst->room().joinDetached(userId)) {
     gateway_->forget(userId);
     return nullptr;
   }
@@ -120,16 +118,13 @@ std::size_t InstanceManager::drain(
 std::size_t InstanceManager::crash(std::uint32_t instanceId) {
   RelayInstance* inst = instance(instanceId);
   if (inst == nullptr || inst->state() == InstanceState::Stopped) return 0;
-  const RelayRoomSnapshot snap = inst->room().exportSnapshot();
   // Members drop with no handoff: in-flight batches still deliver (the room
   // outlives the stop), but everything after the crash instant is lost
   // until sessions reconnect and recover via channel history.
-  for (const RelayUserRecord& u : snap.users) {
-    inst->room().leave(u.id);
-  }
+  const std::size_t dropped = inst->evacuate().users.size();
   inst->stop();
   ++crashes_;
-  return snap.users.size();
+  return dropped;
 }
 
 std::size_t InstanceManager::migrateRoom(
@@ -138,21 +133,16 @@ std::size_t InstanceManager::migrateRoom(
   RelayInstance* source = instance(from);
   RelayInstance* target = instance(to);
   if (source == nullptr || target == nullptr || from == to) return 0;
+  if (source->userCount() == 0) return 0;
 
-  const RelayRoomSnapshot snap = source->room().exportSnapshot();
-  if (snap.users.empty()) return 0;
-
-  // Order matters for zero loss: import into the target first (so sends that
-  // race the handoff find the user somewhere), then drop source membership.
-  // Fan-out batches already scheduled on the source captured (id, home)
-  // pairs and the room's delivery hook, so they still fire — delivery of
-  // in-flight updates survives the leave() below.
-  target->room().importSnapshot(snap, homeFor);
+  // Leave-then-import schedules nothing in between, so within this event no
+  // send can observe a user in neither room. Fan-out batches already
+  // scheduled on the source captured (id, home) pairs and the room's
+  // delivery hook, so in-flight updates still land after the leave.
+  const RelayRoomSnapshot snap = source->evacuate();
+  target->adopt(snap, homeFor);
   for (const RelayUserRecord& u : snap.users) {
     gateway_->reassign(u.id, to);
-  }
-  for (const RelayUserRecord& u : snap.users) {
-    source->room().leave(u.id);
   }
   ++migrations_;
   migratedUsers_ += snap.users.size();

@@ -128,6 +128,9 @@ class InstanceManager {
 
  private:
   RelayInstance& addInstance(const Region& region, bool immediate);
+  /// Joins a placed user to its shard's room; forgets the placement when the
+  /// room is full. `inst` is the gateway's pick (nullptr: cluster full).
+  RelayInstance* admit(std::uint64_t userId, RelayInstance* inst);
 
   Simulator& sim_;
   DataSpec dataSpec_;

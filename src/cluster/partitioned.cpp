@@ -17,9 +17,22 @@ namespace {
 // low enough that adding a lookahead cannot overflow.
 constexpr std::int64_t kInfNs = std::numeric_limits<std::int64_t>::max() / 4;
 
+// Floor on control-link lookahead: the control-plane RPC turnaround.
+constexpr Duration kControlLookahead = Duration::millis(25);
+
+const Region& regionOf(std::uint32_t shard) {
+  switch (shard % 3) {
+    case 0: return regions::usEast();
+    case 1: return regions::usWest();
+    default: return regions::europe();
+  }
+}
+
 PartitionedClusterConfig normalize(PartitionedClusterConfig cfg) {
-  if (cfg.regions.empty()) {
-    cfg.regions = {regions::usEast(), regions::usWest(), regions::europe()};
+  if (cfg.capacity.softUserCap > 0 || cfg.dataSpec.maxEventUsers > 0) {
+    throw std::invalid_argument(
+        "PartitionedCluster: placement is round-robin; a user cap "
+        "(softUserCap, maxEventUsers) is not supported");
   }
   if (cfg.shards < 1) cfg.shards = 1;
   if (cfg.users < 0) cfg.users = 0;
@@ -29,8 +42,7 @@ PartitionedClusterConfig normalize(PartitionedClusterConfig cfg) {
 pdes::EngineConfig engineConfig(const PartitionedClusterConfig& cfg) {
   pdes::EngineConfig ec;
   ec.threads = cfg.threads;
-  ec.audit = cfg.audit;
-  ec.recordTrail = cfg.recordTrail;
+  ec.audit = true;
   ec.adaptiveWindows = cfg.adaptiveWindows;
   return ec;
 }
@@ -42,10 +54,6 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
       engine_{static_cast<std::uint32_t>(cfg_.shards) + 1, cfg_.seed,
               engineConfig(cfg_)} {
   const auto shardCount = static_cast<std::uint32_t>(cfg_.shards);
-  const Region& controlRegion = cfg_.regions[0];
-  const auto regionOf = [&](std::uint32_t s) -> const Region& {
-    return cfg_.regions[s % static_cast<std::uint32_t>(cfg_.regions.size())];
-  };
 
   // Channels: control <-> each shard with lookahead = geo trunk bound
   // floored by the control-plane turnaround, plus (by default) a direct
@@ -55,9 +63,9 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
   shards_.resize(shardCount);
   for (std::uint32_t s = 0; s < shardCount; ++s) {
     const Region& region = regionOf(s);
-    Duration lookahead = InternetFabric::trunkLookahead(controlRegion, region);
-    if (lookahead.toNanos() < cfg_.controlLookahead.toNanos()) {
-      lookahead = cfg_.controlLookahead;
+    Duration lookahead = InternetFabric::trunkLookahead(regionOf(0), region);
+    if (lookahead.toNanos() < kControlLookahead.toNanos()) {
+      lookahead = kControlLookahead;
     }
     engine_.link(0, partitionOf(s), lookahead);
     engine_.link(partitionOf(s), 0, lookahead);
@@ -84,10 +92,8 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
 
   // Memory-lean bulk setup: pre-size every room for its expected share so a
   // 1M-user construction never rehashes a column mid-join, and place users
-  // round-robin directly when no capacity knob can refuse a join — the
-  // LeastLoaded scan over fresh equal shards picks exactly u % shards, so
-  // the fast path is distribution-identical, just O(users) instead of
-  // O(users x shards).
+  // round-robin — what the gateway's LeastLoaded scan picks over fresh,
+  // uncapped, equal shards, in O(users) instead of O(users x shards).
   const std::size_t perShard =
       (static_cast<std::size_t>(cfg_.users) + shardCount - 1) / shardCount;
   std::size_t slotsPerCell = 1;
@@ -102,33 +108,18 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
   }
   const std::size_t latticeSide = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(perShard == 0 ? 1 : perShard))));
-  std::vector<std::size_t> placedOnShard(shardCount, 0);
-  const bool uncapped =
-      cfg_.capacity.softUserCap <= 0 && cfg_.dataSpec.maxEventUsers <= 0;
   assigned_.assign(shardCount, 0);
   accepting_.assign(shardCount, true);
   for (int u = 0; u < cfg_.users; ++u) {
-    std::uint32_t best = shardCount;
-    if (uncapped) {
-      best = static_cast<std::uint32_t>(u) % shardCount;
-    } else {
-      // The gateway's LeastLoaded policy: accepting shard with the fewest
-      // assignments, lowest id on ties.
-      for (std::uint32_t s = 0; s < shardCount; ++s) {
-        if (!shards_[s].inst->acceptingUsers()) continue;
-        if (best == shardCount || assigned_[s] < assigned_[best]) best = s;
-      }
-      if (best == shardCount) break;  // everything full
-    }
+    const std::uint32_t s = static_cast<std::uint32_t>(u) % shardCount;
     const auto id = static_cast<std::uint64_t>(u) + 1;
-    if (!shards_[best].inst->room().joinDetached(id)) continue;
-    ++assigned_[best];
+    shards_[s].inst->room().joinDetached(id);
+    const std::size_t k = assigned_[s]++;
     if (cfg_.latticeSpacingM > 0.0) {
       // Deterministic per-shard lattice: pure function of the join order,
       // so interest-grid neighborhoods are identical for every seed,
       // thread count, and shard count.
-      const std::size_t k = placedOnShard[best]++;
-      shards_[best].inst->room().updatePose(
+      shards_[s].inst->room().updatePose(
           id, Pose{cfg_.latticeSpacingM * static_cast<double>(k % latticeSide),
                    cfg_.latticeSpacingM * static_cast<double>(k / latticeSide),
                    0.0});
@@ -174,7 +165,6 @@ std::int64_t PartitionedCluster::nextControlSendNs() const {
 }
 
 void PartitionedCluster::promiseControlLinks() {
-  if (!promisesArmed_) return;
   pdes::Partition& control = engine_.partition(0);
   const std::int64_t nowNs = control.sim().now().toNanos();
   // Relay entries in the past can no longer constrain a future send (their
@@ -190,7 +180,6 @@ void PartitionedCluster::promiseControlLinks() {
 }
 
 void PartitionedCluster::promiseShardLinks(std::uint32_t s) {
-  if (!promisesArmed_) return;
   pdes::Partition& part = engine_.partition(partitionOf(s));
   const std::int64_t nowNs = part.sim().now().toNanos();
   const std::int64_t drainFloor =
@@ -256,18 +245,15 @@ void PartitionedCluster::controlDrain(std::uint32_t source) {
 
 void PartitionedCluster::sourceExport(std::uint32_t source,
                                       std::uint32_t target) {
-  if (promisesArmed_ && shardDrainCursor_[source] < shardDrainNs_[source].size()) {
+  if (shardDrainCursor_[source] < shardDrainNs_[source].size()) {
     ++shardDrainCursor_[source];
   }
   Shard& shard = shards_[source];
   shard.inst->beginDrain();
-  auto snap =
-      std::make_shared<RelayRoomSnapshot>(shard.inst->room().exportSnapshot());
-  // Empty the source immediately: fan-out batches already scheduled here
-  // captured their recipients at broadcast time, so in-flight deliveries
-  // survive the leave and the zero-loss ledger stays exact.
-  for (const RelayUserRecord& u : snap->users) shard.inst->room().leave(u.id);
-  if (shard.inst->userCount() == 0) shard.inst->stop();
+  // Empty the source immediately; in-flight deliveries survive the leave,
+  // so the zero-loss ledger stays exact.
+  auto snap = std::make_shared<RelayRoomSnapshot>(shard.inst->evacuate());
+  shard.inst->stop();
   if (snap->users.empty()) {
     promiseShardLinks(source);
     return;
@@ -301,11 +287,9 @@ void PartitionedCluster::importMigration(
     std::uint32_t target, const std::shared_ptr<RelayRoomSnapshot>& snap,
     std::uint32_t hops) {
   Shard& shard = shards_[target];
-  // Pre-size for the merged population before the joins land — at 1M-user
-  // scale an import can double a shard, and a mid-import rehash of every
-  // column is exactly the setup cost the bulk path avoids.
-  shard.inst->room().reserveUsers(shard.inst->userCount() + snap->users.size());
-  shard.inst->room().importSnapshot(*snap);
+  // At 1M-user scale an import can double a shard; adopt() pre-sizes for
+  // the merged population first.
+  shard.inst->adopt(*snap);
   ++shard.migrationsIn;
   shard.migratedUsersIn += snap->users.size();
   shard.migrationHopsIn += hops;
@@ -379,37 +363,34 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
   // Arm the promise choreography before anything runs: sort the drain
   // schedule into execution order (stable on ties, matching the control
   // sim's schedule-seq order) and derive every initial floor.
-  promisesArmed_ = cfg_.adaptiveWindows;
-  if (promisesArmed_) {
-    std::stable_sort(drainSchedule_.begin(), drainSchedule_.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    for (auto& arrivals : shardDrainNs_) arrivals.clear();
-    for (const auto& [atNs, shard] : drainSchedule_) {
-      shardDrainNs_[shard].push_back(
-          atNs + engine_.lookahead(0, partitionOf(shard)).toNanos());
-    }
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].nextGhostTickNs = ghostActive() ? pacePeriodNs_ : kInfNs;
-    }
-    promiseControlLinks();
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) promiseShardLinks(s);
+  std::stable_sort(
+      drainSchedule_.begin(), drainSchedule_.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& arrivals : shardDrainNs_) arrivals.clear();
+  for (const auto& [atNs, shard] : drainSchedule_) {
+    shardDrainNs_[shard].push_back(
+        atNs + engine_.lookahead(0, partitionOf(shard)).toNanos());
   }
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].nextGhostTickNs = ghostActive() ? pacePeriodNs_ : kInfNs;
+  }
+  promiseControlLinks();
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) promiseShardLinks(s);
 
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     Simulator& sim = engine_.partition(partitionOf(s)).sim();
     shard.pacer =
         std::make_unique<PeriodicTask>(sim, period, [this, s] { paceShard(s); });
-    // Stop exactly at the window edge. The tick landing on the edge was
-    // scheduled earlier, so it still fires (schedule-seq order), matching
-    // the monolithic bench's run-then-stop sequence. Stopping also retires
-    // the ghost lane's promise floor.
+    // Pace over the half-open window [0, stopAt). This stop event is
+    // scheduled now, before the tick one period earlier arms the tick that
+    // lands on stopAt, so it carries the smaller seq and runs first: the
+    // edge tick never fires. Stopping also retires the ghost lane's promise
+    // floor.
     PeriodicTask* pacer = shard.pacer.get();
     sim.schedule(stopAt, [this, s, pacer] {
       pacer->stop();
-      if (ghostActive() && promisesArmed_) {
+      if (ghostActive()) {
         shards_[s].nextGhostTickNs = kInfNs;
         promiseShardLinks(s);
       }
@@ -420,12 +401,12 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
   stats.engine = engine_.run(stopAt + slack);
 
   // Flush the in-flight tail. At high occupancy the capacity model's queue
-  // inflation can delay scheduled deliveries well past any fixed slack (the
-  // monolithic bench has the same loop), and the per-shard load samplers
-  // tick forever so the engine can't simply run to idle: extend the horizon
-  // in bounded slices until the ledger balances. The slice count is a pure
-  // function of simulated state — identical for every worker count — so
-  // digests stay thread-invariant.
+  // inflation can delay scheduled deliveries well past any fixed slack,
+  // and the per-shard load samplers tick forever so the engine can't
+  // simply run to idle: extend the horizon in bounded slices until the
+  // ledger balances. The slice count is a pure function of simulated
+  // state — identical for every worker count — so digests stay
+  // thread-invariant.
   auto outstanding = [this] {
     std::uint64_t expected = 0;
     std::uint64_t delivered = 0;

@@ -1,19 +1,20 @@
 #pragma once
 
-// A planet-scale cluster run split across PDES partitions.
+// The planet-scale cluster runtime: one run split across PDES partitions.
 //
-// bench_cluster_planet_scale's monolithic form drives 32 shards from one
-// Simulator — one core per run no matter how many the host has. This layer
-// re-expresses the same workload on pdes::Engine: each shard becomes its
-// own logical process (partition) with a private event loop, and one extra
-// control partition plays the gateway/autoscaler role (placement book,
-// drain brokerage). Cross-partition traffic is exactly what crosses
-// machines in the real deployment — control-plane RPCs and room-migration
-// snapshots — and rides channels whose conservative lookahead is the geo
-// fabric's trunk bound (InternetFabric::trunkLookahead) floored by the
-// configured control-plane turnaround: tens of milliseconds against
+// One Simulator driving every shard would use one core per run no matter
+// how many the host has. This layer runs the workload on pdes::Engine
+// instead: each shard is its own logical process (partition) with a
+// private event loop, and one extra control partition plays the
+// gateway/autoscaler role (placement book, drain brokerage). Cross-
+// partition traffic is exactly what crosses machines in the real
+// deployment — control-plane RPCs and room-migration snapshots — and rides
+// channels whose conservative lookahead is the geo fabric's trunk bound
+// (InternetFabric::trunkLookahead), floored at a 25 ms control-plane
+// turnaround on control links: tens of milliseconds against
 // microsecond-scale intra-shard event spacing, which is the whole reason
-// the partitioning parallelizes.
+// the partitioning parallelizes. Shard s serves us-east, us-west and
+// europe in turn (s % 3); control is homed in us-east.
 //
 // Topology: control <-> every shard partition, plus (by default) a full
 // mesh of direct shard <-> shard channels with geo-trunk lookahead. A drain
@@ -21,22 +22,22 @@
 // the source exports straight to the target over its direct link — with the
 // classic three-hop relay through control kept as the fallback whenever no
 // direct channel exists (directShardLinks = false). The source empties the
-// moment it exports (in-flight fan-out batches still deliver — they
-// captured their recipients at broadcast time). Expected and delivered
-// counts are kept per shard partition, so the zero-loss invariant of the
-// monolithic bench carries over unchanged; migration accounting moved from
-// the control book to per-shard import counters so the two-hop path never
-// touches control state from a shard partition's event.
+// moment it exports (RelayInstance::evacuate; in-flight fan-out batches
+// still deliver — they captured their recipients at broadcast time).
+// Expected and delivered counts are kept per shard partition, so the
+// zero-loss ledger is exact; migration accounting lives in per-shard import
+// counters so the two-hop path never touches control state from a shard
+// partition's event.
 //
-// Window coalescing: with adaptiveWindows on, the cluster derives per-link
-// send promises (pdes::Partition::promiseNoSendBefore) from what it already
-// knows statically — the drain schedule fixes every control-plane and
-// migration send instant, and the pacing cadence fixes every ghost-forward
-// instant. Between those instants every channel is provably quiet, so the
-// engine's adaptive bounds let each shard run whole stretches of simulated
-// time per barrier instead of one trunk-lookahead window at a time. That —
-// not the hop count — is where the rounds-per-sim-second collapse comes
-// from; see DESIGN.md §11.
+// Window coalescing: the cluster always maintains per-link send promises
+// (pdes::Partition::promiseNoSendBefore) from what it already knows
+// statically — the drain schedule fixes every control-plane and migration
+// send instant, and the pacing cadence fixes every ghost-forward instant.
+// Between those instants every channel is provably quiet, so with
+// adaptiveWindows on the engine's bounds let each shard run whole
+// stretches of simulated time per barrier instead of one trunk-lookahead
+// window at a time. That — not the hop count — is where the
+// rounds-per-sim-second collapse comes from; see DESIGN.md §11.
 //
 // Interest-scoped forwarding (interestForwarding): each pacing tick, a
 // shard queries its room's AOI grid for avatars within ghostRadiusM of its
@@ -45,9 +46,9 @@
 // the received fold is auditNoted into the target sim so payloads are
 // digest-pinned.
 //
-// The partition structure is fixed by (shards, regions) alone — never by
-// the worker count — so audit digests are byte-identical for any
-// MSIM_THREADS; that is pinned by tests/pdes_test.cpp via
+// The partition structure is fixed by the shard count alone — never by
+// the worker count — so audit digests (always on) are byte-identical for
+// any MSIM_THREADS; that is pinned by tests/pdes_test.cpp via
 // audit::verifyThreadInvariance.
 
 #include <cstdint>
@@ -63,9 +64,9 @@ struct PartitionedClusterConfig {
   std::uint64_t seed{1};
   int users{10000};
   int shards{32};
-  /// Shard s serves regions[s % regions.size()]; the control partition is
-  /// homed in regions[0]. Defaults to usEast/usWest/europe when empty.
-  std::vector<Region> regions;
+  /// Users are placed round-robin (user u on shard u % shards), so a capped
+  /// config — capacity.softUserCap or dataSpec.maxEventUsers > 0 — is
+  /// rejected with std::invalid_argument.
   ShardCapacitySpec capacity{};
   DataSpec dataSpec{};
   /// Prototype for the periodic per-user update (kind/size); senderId and
@@ -76,18 +77,16 @@ struct PartitionedClusterConfig {
   /// Engine workers: 0 leases from the process ThreadBudget (honors
   /// MSIM_THREADS), > 0 pins the pool size. Results identical either way.
   unsigned threads{0};
-  /// Floor on control-link lookahead (control-plane RPC turnaround); the
-  /// geo trunk bound is used when larger.
-  Duration controlLookahead = Duration::millis(25);
   /// Declare direct shard <-> shard channels (full mesh) with geo-trunk
   /// lookahead: migration snapshots hop source -> target directly (two hops
   /// instead of three) and interest-scoped ghost forwarding has a lane.
   /// Off = the classic hub star; migrations then relay through control.
   bool directShardLinks{true};
-  /// Derive per-link send promises from the drain schedule and pacing
-  /// cadence so the engine coalesces windows (pdes adaptive windows). The
-  /// promises are sound for any schedule — they mirror the exact instants
-  /// the cluster can send at — and digests are unchanged by construction.
+  /// Let the engine honour the per-link send promises the cluster derives
+  /// from the drain schedule and pacing cadence, so it coalesces windows
+  /// (pdes adaptive windows). The promises are sound for any schedule — they
+  /// mirror the exact instants the cluster can send at — and digests are
+  /// unchanged by construction.
   bool adaptiveWindows{true};
   /// When > 0, users are placed on a per-shard lattice with this spacing
   /// (meters) and their poses registered at construction — the
@@ -99,8 +98,6 @@ struct PartitionedClusterConfig {
   /// directShardLinks and at least two shards.
   bool interestForwarding{false};
   double ghostRadiusM{25.0};
-  bool audit{true};
-  bool recordTrail{false};
 };
 
 struct PartitionedClusterStats {
@@ -140,12 +137,14 @@ class PartitionedCluster {
   /// control otherwise.
   void scheduleDrain(std::uint32_t shard, TimePoint at);
 
-  /// Paces every shard at cfg.updateRateHz for `measure`, lets the
-  /// in-flight tail (deliveries, migration hops) settle for `slack`, then
-  /// keeps extending the horizon in bounded slices until every expected
-  /// delivery has landed (queue inflation at high occupancy can defer
-  /// deliveries arbitrarily far; the slice count depends only on simulated
-  /// state, so digests stay thread-invariant). Callable once per instance.
+  /// Paces every shard at cfg.updateRateHz over the half-open window
+  /// [0, measure) — a tick landing exactly on `measure` does not fire —
+  /// lets the in-flight tail (deliveries, migration hops) settle for
+  /// `slack`, then keeps extending the horizon in bounded slices until
+  /// every expected delivery has landed (queue inflation at high occupancy
+  /// can defer deliveries arbitrarily far; the slice count depends only on
+  /// simulated state, so digests stay thread-invariant). Callable once per
+  /// instance.
   PartitionedClusterStats run(Duration measure, Duration slack);
 
   /// Per-partition audit digests folded in partition-id order (see
@@ -197,7 +196,7 @@ class PartitionedCluster {
                        std::uint32_t hops);
   void paceShard(std::uint32_t shard);
 
-  // ---- promise choreography (adaptiveWindows) -----------------------------
+  // ---- promise choreography ------------------------------------------------
   /// Earliest instant control could still send on any out-link: the next
   /// unprocessed drain order, or an in-flight hub-relay forward.
   [[nodiscard]] std::int64_t nextControlSendNs() const;
@@ -224,7 +223,6 @@ class PartitionedCluster {
   std::vector<std::int64_t> pendingForwardNs_;  // in-flight hub relays
   std::vector<std::vector<std::int64_t>> shardDrainNs_;  // arrival instants
   std::vector<std::size_t> shardDrainCursor_;
-  bool promisesArmed_{false};
   std::int64_t pacePeriodNs_{0};
 };
 

@@ -244,6 +244,11 @@ void Simulator::directDrainLane(int level, std::uint32_t lane) {
   wheelLevelCount_[static_cast<std::size_t>(level)] -= walked;
   for (std::size_t g = 1; g < 9; ++g) ofs[g] += ofs[g - 1];
   const std::size_t base = drainRun_.size();
+  // Grow geometrically: an exact-size resize would reallocate on every
+  // window larger than the last, however slightly.
+  if (base + wheelScratch_.size() > drainRun_.capacity()) {
+    drainRun_.reserve(std::bit_ceil(base + wheelScratch_.size()));
+  }
   drainRun_.resize(base + wheelScratch_.size());
   std::array<std::int64_t, 8> lastTime;
   lastTime.fill(std::numeric_limits<std::int64_t>::min());
@@ -515,10 +520,7 @@ PeriodicTask::PeriodicTask(Simulator& sim, Duration period, Duration phase, Call
   arm(phase);
 }
 
-PeriodicTask::~PeriodicTask() {
-  *alive_ = false;
-  stop();
-}
+PeriodicTask::~PeriodicTask() { stop(); }
 
 void PeriodicTask::stop() {
   running_ = false;
@@ -526,10 +528,9 @@ void PeriodicTask::stop() {
 }
 
 void PeriodicTask::arm(Duration delay) {
-  std::weak_ptr<bool> alive = alive_;
-  pending_ = sim_.scheduleAfter(delay, [this, alive] {
-    const auto guard = alive.lock();
-    if (!guard || !*guard || !running_) return;
+  // The destructor and stop() cancel the pending tick, and cancel() is
+  // exact, so a tick never outlives its task.
+  pending_ = sim_.scheduleAfter(delay, [this] {
     cb_();
     if (running_) arm(period_);
   });

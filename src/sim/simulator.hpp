@@ -414,8 +414,6 @@ class PeriodicTask {
   Callback cb_;
   bool running_{true};
   EventId pending_;
-  // Guards the callback against firing after destruction.
-  std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
 };
 
 }  // namespace msim

@@ -611,4 +611,25 @@ TEST(PdesCluster, GhostLedgerBalancesAndIsThreadInvariant) {
   }
 }
 
+TEST(PdesCluster, PacesOverHalfOpenWindow) {
+  // Ticks land at 100..500 ms, but the stop event at 500 ms was scheduled
+  // before the 400 ms tick armed the 500 ms one, so it runs first: four
+  // ticks of 90 broadcasts, the edge tick excluded.
+  cluster::PartitionedCluster run{smallClusterConfig(1234, 1)};
+  const cluster::PartitionedClusterStats stats =
+      run.run(Duration::millis(500), Duration::seconds(1));
+  EXPECT_EQ(stats.broadcasts, 90u * 4u);
+  EXPECT_EQ(stats.expectedDeliveries, stats.delivered);
+}
+
+TEST(PdesCluster, RejectsCappedConfig) {
+  // Placement is round-robin, so no capacity knob may refuse a join.
+  cluster::PartitionedClusterConfig soft = smallClusterConfig(1, 1);
+  soft.capacity.softUserCap = 10;
+  EXPECT_THROW(cluster::PartitionedCluster{soft}, std::invalid_argument);
+  cluster::PartitionedClusterConfig room = smallClusterConfig(1, 1);
+  room.dataSpec.maxEventUsers = 16;
+  EXPECT_THROW(cluster::PartitionedCluster{room}, std::invalid_argument);
+}
+
 }  // namespace
