@@ -38,12 +38,17 @@
 // Both worker-row modes run the first worker count once, untimed, before
 // the timed rows, so no row pays the process's cold start and the speedups
 // compare warm runs. They report setup and wall seconds, events/s-per-core,
-// speedup and peak RSS (VmHWM — a process-wide high-water mark, so the
-// headline number is the final row's), emit a benchmark JSON (stdout, plus
+// speedup, and per row the user/sys CPU seconds and minor faults of set-up +
+// run, the resident set at the end of the run, and peak RSS (VmHWM — a
+// process-wide high-water mark, so the headline number is the final row's;
+// the per-row resident set shows whether a row itself holds more), emit a
+// benchmark JSON (stdout, plus
 // MSIM_PDES_JSON=<path> to write a file) whose context records the host
 // core count and CPU model, and exit nonzero unless the audit digest is
 // byte-identical across the worker counts, zero deliveries were lost, and
 // the ghost ledger balances exactly.
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cinttypes>
@@ -115,18 +120,32 @@ std::string cpuModel() {
   return "unknown";
 }
 
-/// Process peak resident set (VmHWM) in MB. A high-water mark: it only ever
-/// rises, so per-row values after the first run are lower bounds from the
-/// earlier runs and the final row is the honest headline.
-double peakRssMb() {
+/// A /proc/self/status memory field ("VmHWM:", "VmRSS:") in MB.
+double statusMb(const std::string& key) {
   std::ifstream in{"/proc/self/status"};
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::atof(line.c_str() + 6) / 1024.0;  // kB -> MB
+    if (line.rfind(key, 0) == 0) {
+      return std::atof(line.c_str() + key.size()) / 1024.0;  // kB -> MB
     }
   }
   return 0.0;
+}
+
+/// Process CPU seconds and minor faults so far, summed over all threads.
+struct ProcCounters {
+  double userS{0.0};
+  double sysS{0.0};
+  long minflt{0};
+};
+
+ProcCounters procCounters() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return {secs(ru.ru_utime), secs(ru.ru_stime), ru.ru_minflt};
 }
 
 /// The planet-scale workload: every resident sends a pose update at the
@@ -150,7 +169,13 @@ struct Row {
   double wallSeconds{0.0};
   PartitionedClusterStats stats;
   std::uint64_t digest{0};
+  // Process counters over set-up + run (teardown excluded). The peak is
+  // VmHWM, a process-wide high-water mark that only ever rises, so a row's
+  // value is bounded below by every earlier run's; rssMb (VmRSS at the end
+  // of the run, before teardown) is the row's own live footprint.
   double peakRssMb{0.0};
+  double rssMb{0.0};
+  ProcCounters proc;
 };
 
 /// One run: build the cluster, drain the last shard halfway through the
@@ -160,6 +185,7 @@ Row runOnce(PartitionedClusterConfig cfg, unsigned threads, Duration measure) {
   const auto lastShard = static_cast<std::uint32_t>(cfg.shards - 1);
   Row row;
   row.threads = threads;
+  const ProcCounters p0 = procCounters();
   const WallClock::time_point s0 = WallClock::now();
   PartitionedCluster run{std::move(cfg)};
   row.setupSeconds = secondsSince(s0);
@@ -168,7 +194,10 @@ Row runOnce(PartitionedClusterConfig cfg, unsigned threads, Duration measure) {
   row.stats = run.run(measure, Duration::seconds(5));
   row.wallSeconds = secondsSince(t0);
   row.digest = run.digest();
-  row.peakRssMb = peakRssMb();
+  const ProcCounters p1 = procCounters();
+  row.proc = {p1.userS - p0.userS, p1.sysS - p0.sysS, p1.minflt - p0.minflt};
+  row.peakRssMb = statusMb("VmHWM:");
+  row.rssMb = statusMb("VmRSS:");
   return row;
 }
 
@@ -192,10 +221,10 @@ int runWorkerRows(const std::string& title, const std::string& reproduces,
     rows.push_back(runOnce(cfg, n, measure));
     const Row& r = rows.back();
     std::printf("  [%u worker%s] wall %.3fs (+%.3fs setup), %" PRIu64
-                " events, %" PRIu64 " rounds, peak RSS %.0f MB\n",
+                " events, %" PRIu64 " rounds, RSS %.0f MB, peak RSS %.0f MB\n",
                 r.threads, r.threads == 1 ? "" : "s", r.wallSeconds,
                 r.setupSeconds, r.stats.engine.eventsExecuted,
-                r.stats.engine.rounds, r.peakRssMb);
+                r.stats.engine.rounds, r.rssMb, r.peakRssMb);
   }
 
   const double base = rows.front().wallSeconds;
@@ -209,8 +238,8 @@ int runWorkerRows(const std::string& title, const std::string& reproduces,
                : 0.0;
   };
   TablePrinter table{{"threads", "setup s", "wall s", "speedup", "events/s",
-                      "events/s/core", "rounds", "coalesced", "peak RSS MB",
-                      "digest"}};
+                      "events/s/core", "rounds", "coalesced", "user s", "sys s",
+                      "minflt", "RSS MB", "peak RSS MB", "digest"}};
   bool digestsMatch = true;
   bool ledgerBalanced = true;
   std::uint64_t lostTotal = 0;
@@ -233,6 +262,8 @@ int runWorkerRows(const std::string& title, const std::string& reproduces,
                   fmtD(perSec(r) / 1e6, 3) + "M",
                   fmtD(perSec(r) / 1e6 / r.threads, 3) + "M",
                   std::to_string(e.rounds), std::to_string(e.coalescedWindows),
+                  fmtD(r.proc.userS, 2), fmtD(r.proc.sysS, 2),
+                  std::to_string(r.proc.minflt), fmtD(r.rssMb, 0),
                   fmtD(r.peakRssMb, 0), hex(r.digest)});
     json += "    {\"name\": \"" + benchName + "/threads:" +
             std::to_string(r.threads) + "\", \"real_time\": " +
@@ -244,6 +275,10 @@ int runWorkerRows(const std::string& title, const std::string& reproduces,
             ", \"speedup\": " + fmtD(speedup(r), 3) +
             ", \"rounds\": " + std::to_string(e.rounds) +
             ", \"coalesced_windows\": " + std::to_string(e.coalescedWindows) +
+            ", \"user_s\": " + fmtD(r.proc.userS, 3) +
+            ", \"sys_s\": " + fmtD(r.proc.sysS, 3) +
+            ", \"minflt\": " + std::to_string(r.proc.minflt) +
+            ", \"rss_mb\": " + fmtD(r.rssMb, 1) +
             ", \"peak_rss_mb\": " + fmtD(r.peakRssMb, 1) + ", \"digest\": \"" +
             hex(r.digest) + "\"}";
     json += i + 1 < rows.size() ? ",\n" : "\n";

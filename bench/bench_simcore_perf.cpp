@@ -306,7 +306,7 @@ void BM_InterestGridFanout(benchmark::State& state) {
   // Warm up through two full passes of the measured sender walk: every
   // sender's pose sequence visits both LoD parities (odd sequences forward
   // only the full-rate disc, even ones add the half-rate ring), so the
-  // batch pool, the timer-wheel lanes, and every grid neighborhood reach
+  // fan-out arena, the timer-wheel lanes, and every grid neighborhood reach
   // steady state before the measured loop — which must then allocate
   // nothing at all.
   for (std::int64_t w = 0; w < 2 * users; ++w) {
@@ -344,6 +344,60 @@ void BM_InterestGridFanout(benchmark::State& state) {
       static_cast<double>(measured), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_InterestGridFanout)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_RelayInFlightFanout(benchmark::State& state) {
+  // Fan-out memory under load: every avatar of an N-avatar lattice
+  // broadcasts before the simulator runs, so all N deliveries' receiver
+  // spans are in flight in the room's arena at once (DESIGN.md §7) — the
+  // shape of a planet-scale pacing tick. One iteration is one such wave
+  // plus its delivery, a fixed amount of work: a single full-rate band out
+  // to the cull radius keeps every wave's receiver sets identical. Budget:
+  // zero heap allocations per forward once the first wave has sized the
+  // arena, the event slots and the wheel lanes.
+  const int users = static_cast<int>(state.range(0));
+  Simulator sim{1};
+  DataSpec spec;
+  spec.queueCoefMs = 0.0;
+  spec.interestGrid = true;
+  spec.interestCellM = 16.0;
+  spec.interestRadiusM = 25.0;
+  spec.interestFullRadiusM = 25.0;
+  spec.interestHalfRadiusM = 25.0;
+  RelayRoom room{sim, spec};
+  room.reserveUsers(static_cast<std::size_t>(users));
+  const int side = static_cast<int>(std::ceil(std::sqrt(users)));
+  for (int i = 0; i < users; ++i) {
+    const std::uint64_t id = 1000 + static_cast<std::uint64_t>(i);
+    room.joinDetached(id);
+    room.updatePose(id, Pose{4.0 * (i % side), 4.0 * (i / side), 0});
+  }
+  auto m = std::make_shared<const Message>(Message{
+      avatarmsg::kPoseUpdate, ByteSize::bytes(220)});
+  const auto wave = [&] {
+    for (int i = 0; i < users; ++i) {
+      room.broadcast(1000 + static_cast<std::uint64_t>(i), m);
+    }
+    sim.run();
+  };
+  wave();
+
+  const std::uint64_t forwardedBefore = room.forwardedMessages();
+  const std::uint64_t allocsBefore = g_heapAllocs.load();
+  for (auto _ : state) wave();
+  const std::uint64_t allocs = g_heapAllocs.load() - allocsBefore;
+  const std::uint64_t forwards = room.forwardedMessages() - forwardedBefore;
+  state.SetItemsProcessed(static_cast<std::int64_t>(forwards));
+  state.counters["allocs_per_forward"] = benchmark::Counter(
+      forwards > 0 ? static_cast<double>(allocs) / static_cast<double>(forwards)
+                   : 0.0);
+  // Seconds per forward (the console prints it scaled, e.g. "29ns").
+  state.counters["time_per_forward"] = benchmark::Counter(
+      static_cast<double>(forwards),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["arena_chunks"] =
+      benchmark::Counter(static_cast<double>(room.inFlightChunks()));
+}
+BENCHMARK(BM_RelayInFlightFanout)->Arg(1000)->Arg(10000);
 
 void BM_SessionChurnSteady(benchmark::State& state) {
   // Steady-state session tier: N connected sessions subscribed to one

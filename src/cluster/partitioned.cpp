@@ -400,11 +400,14 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
   PartitionedClusterStats stats;
   stats.engine = engine_.run(stopAt + slack);
 
-  // Flush the in-flight tail. At high occupancy the capacity model's queue
-  // inflation can delay scheduled deliveries well past any fixed slack,
-  // and the per-shard load samplers tick forever so the engine can't
-  // simply run to idle: extend the horizon in bounded slices until the
-  // ledger balances. The slice count is a pure function of simulated
+  // Flush the in-flight tail. Scheduled deliveries can land far past any
+  // fixed slack: RelayRoom::sampleProcessingDelay adds queueCoefMs ·
+  // (n−2)^1.5 for a room of n users (1.0 × 15,623^1.5 ms ≈ 1,953 s at
+  // 15,625 users per shard, the 1M-user run, whose max utilization is 0),
+  // on top of the base delay the capacity model's inflation scales on a
+  // saturated shard. The per-shard load samplers tick forever, so the
+  // engine can't simply run to idle: extend the horizon in bounded slices
+  // until the ledger balances. The slice count is a pure function of simulated
   // state — identical for every worker count — so digests stay
   // thread-invariant.
   auto outstanding = [this] {

@@ -141,10 +141,11 @@ class PartitionedCluster {
   /// [0, measure) — a tick landing exactly on `measure` does not fire —
   /// lets the in-flight tail (deliveries, migration hops) settle for
   /// `slack`, then keeps extending the horizon in bounded slices until
-  /// every expected delivery has landed (queue inflation at high occupancy
-  /// can defer deliveries arbitrarily far; the slice count depends only on
-  /// simulated state, so digests stay thread-invariant). Callable once per
-  /// instance.
+  /// every expected delivery has landed (the room-size queueing term of the
+  /// processing delay, queueCoefMs · (n−2)^1.5, defers deliveries ~1,953 s
+  /// at 15,625 users per shard, and saturated shards inflate the base delay
+  /// too; the slice count depends only on simulated state, so digests stay
+  /// thread-invariant). Callable once per instance.
   PartitionedClusterStats run(Duration measure, Duration slack);
 
   /// Per-partition audit digests folded in partition-id order (see

@@ -262,35 +262,89 @@ Duration RelayRoom::sampleProcessingDelay() {
   return Duration::millis(ms);
 }
 
-RelayRoom::Batch RelayRoom::acquireBatch() {
-  if (batchPool_.empty()) return Batch{};
-  Batch b = std::move(batchPool_.back());
-  batchPool_.pop_back();
-  b.clear();
-  return b;
+void RelayRoom::takeChunk(std::uint32_t n) {
+  // A chunk that still has spans in flight recycles itself on its last
+  // delivery (releaseSpan); a drained current one (too small for `n`) is
+  // recycled here.
+  if (currentChunk_ != nullptr && currentChunk_->pending == 0) {
+    currentChunk_->next = freeChunks_;
+    freeChunks_ = currentChunk_;
+  }
+  FanoutChunk** link = &freeChunks_;
+  while (*link != nullptr && (*link)->capacity < n) link = &(*link)->next;
+  if (*link != nullptr) {
+    currentChunk_ = *link;
+    *link = currentChunk_->next;
+    currentChunk_->next = nullptr;
+    return;
+  }
+  // detlint:allow(hotpath-alloc) arena growth only at a new high-water mark
+  // of in-flight receivers (or for a span larger than every free chunk);
+  // chunks recycle through freeChunks_ afterwards — BM_RelayInFlightFanout
+  // pins 0 allocations per forward once warm.
+  chunks_.push_back(std::make_unique<FanoutChunk>(std::max(n, kFanoutChunkIds)));
+  currentChunk_ = chunks_.back().get();
 }
 
-void RelayRoom::releaseBatch(Batch&& batch) {
-  batchPool_.push_back(std::move(batch));
+void RelayRoom::releaseSpan(FanoutChunk* chunk) {
+  if (--chunk->pending != 0) return;
+  chunk->used = 0;
+  if (chunk != currentChunk_) {
+    chunk->next = freeChunks_;
+    freeChunks_ = chunk;
+  }
 }
 
-void RelayRoom::scheduleBatch(TimePoint at, Batch batch,
-                              std::shared_ptr<const Message> msg,
-                              TimePoint inTime) {
-  sim_.schedule(at, [this, batch = std::move(batch), msg = std::move(msg),
-                     inTime]() mutable {
-    for (const BatchEntry& e : batch) {
-      if (msg->actionId != 0 && hooks_.onActionForwarded) {
-        hooks_.onActionForwarded(msg->actionId, e.id, inTime, sim_.now());
+void RelayRoom::scheduleSpan(TimePoint at, const std::uint64_t* ids,
+                             std::uint32_t n, RelayServer* const* crossHomes,
+                             RelayServer* home,
+                             std::shared_ptr<const Message> msg,
+                             TimePoint inTime) {
+  if (currentChunk_ == nullptr ||
+      currentChunk_->capacity - currentChunk_->used < n) {
+    takeChunk(n);
+  }
+  FanoutChunk* const chunk = currentChunk_;
+  const FanoutSpan span{chunk, chunk->used, n, crossHomes != nullptr ? 1u : 0u};
+  std::copy(ids, ids + n, chunk->ids.get() + span.offset);
+  if (crossHomes != nullptr) {
+    if (!chunk->homes) {
+      // detlint:allow(hotpath-alloc) once per chunk, on its first
+      // cross-home span (multi-replica rooms only); kept across recycling.
+      chunk->homes =
+          std::make_unique_for_overwrite<RelayServer*[]>(chunk->capacity);
+    }
+    std::copy(crossHomes, crossHomes + n, chunk->homes.get() + span.offset);
+  }
+  chunk->used += n;
+  ++chunk->pending;
+
+  auto deliver = [this, span, home, msg = std::move(msg), inTime] {
+    // Locals, not closure fields: the delivery calls below are opaque, so
+    // the compiler would otherwise reload every field per receiver.
+    FanoutChunk* const c = span.chunk;
+    const std::uint32_t count = span.count;
+    const std::uint64_t* const to = c->ids.get() + span.offset;
+    RelayServer* const* const homes =
+        span.crossHome != 0 ? c->homes.get() + span.offset : nullptr;
+    RelayServer* const sameHome = home;
+    const std::uint64_t actionId = msg->actionId;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (actionId != 0 && hooks_.onActionForwarded) {
+        hooks_.onActionForwarded(actionId, to[i], inTime, sim_.now());
       }
-      if (e.home != nullptr) {
-        e.home->deliverToUser(e.id, msg);
+      RelayServer* const via = homes != nullptr ? homes[i] : sameHome;
+      if (via != nullptr) {
+        via->deliverToUser(to[i], msg);
       } else if (hooks_.onLocalDeliver) {
-        hooks_.onLocalDeliver(e.id, *msg);
+        hooks_.onLocalDeliver(to[i], *msg);
       }
     }
-    releaseBatch(std::move(batch));
-  });
+    releaseSpan(c);
+  };
+  static_assert(sizeof(deliver) <= UniqueFunction::kInlineBytes,
+                "the delivery event must stay in the event slot's inline buffer");
+  sim_.schedule(at, std::move(deliver));
 }
 
 void RelayRoom::broadcast(std::uint64_t fromUser, const Message& m) {
@@ -301,8 +355,8 @@ void RelayRoom::broadcast(std::uint64_t fromUser, const Message& m) {
 }
 
 // detlint:hotpath the room fan-out — BM_RelayBroadcastSoA gates it near zero
-// allocs/forward; batches and their entry vectors are pool-recycled, so the
-// steady path must stay off the heap.
+// allocs/forward; the scan's scratch buffers and the arena's chunks are
+// recycled, so the steady path must stay off the heap.
 MSIM_HOT void RelayRoom::broadcast(std::uint64_t fromUser,
                                    std::shared_ptr<const Message> msg) {
   const std::uint32_t* fromIt = index_.find(fromUser);
@@ -320,7 +374,7 @@ MSIM_HOT void RelayRoom::broadcast(std::uint64_t fromUser,
   // — same-home, and cross-home one intra-site hop later — each clamped
   // monotonic by a per-sender flow clock so no (sender → receiver) stream
   // ever reorders. Receivers sharing an instant share one queue event
-  // walking a batch instead of one event each.
+  // walking an arena span instead of one event each.
   const Duration procDelay = sampleProcessingDelay();
   TimePoint outSame = inTime + procDelay;
   if (outSame < flowNextSame_[s]) outSame = flowNextSame_[s];
@@ -332,17 +386,29 @@ MSIM_HOT void RelayRoom::broadcast(std::uint64_t fromUser,
   if (isPose) ++poseSeq_[s];
   const std::uint32_t seq = poseSeq_[s];
 
-  Batch same = acquireBatch();
-  Batch cross = acquireBatch();
   RelayServer* const senderHome = homes_[s];
   // Single-shard rooms (every member on one replica — the common case, and
   // every detached room) route all traffic to the same-home instant, so the
   // emit never has to gather the receiver's home from the room-wide column.
   const bool uniformHomes = uniformHomeCount_ == activeUsers_;
 
+  // The scratch buffers hold every member (a broadcast reaches at most
+  // activeUsers_ − 1 receivers), so the emit is an indexed store through
+  // local cursors; they only grow, with the room.
+  if (sameIds_.size() < activeUsers_) sameIds_.resize(activeUsers_);
+  if (!uniformHomes && crossIds_.size() < activeUsers_) {
+    crossIds_.resize(activeUsers_);
+    crossHomes_.resize(activeUsers_);
+  }
+  std::uint64_t* const sameOut = sameIds_.data();
+  std::uint64_t* const crossOut = crossIds_.data();
+  RelayServer** const crossHomeOut = crossHomes_.data();
+  std::uint32_t sameN = 0;
+  std::uint32_t crossN = 0;
+
   // The hot loops only bump these dense locals; bytes and room-level stats
   // are flushed once per broadcast below, keeping the per-receiver work to
-  // a couple of compares and a batch push.
+  // a couple of compares and a scratch store.
   std::uint32_t tierHits[interest::kMaxBands] = {};
   std::uint64_t radiusCulls = 0;
   std::uint64_t lodDrops = 0;
@@ -351,15 +417,16 @@ MSIM_HOT void RelayRoom::broadcast(std::uint64_t fromUser,
   const auto emitId = [&](std::uint64_t rid, std::uint32_t r, int tier) {
     ++tierHits[static_cast<std::size_t>(tier)];
     if (uniformHomes) {
-      // detlint:allow(hotpath-alloc) batches are pool-recycled: the entries
-      // vector keeps its capacity across acquire/release, so the push
-      // amortizes to zero after the first broadcasts at a given room size —
-      // BM_RelayBroadcastSoA pins exactly that.
-      same.push_back(BatchEntry{rid, senderHome});
+      sameOut[sameN++] = rid;
       return;
     }
     RelayServer* const home = homes_[r];
-    (home == senderHome ? same : cross).push_back(BatchEntry{rid, home});
+    if (home == senderHome) {
+      sameOut[sameN++] = rid;
+    } else {
+      crossHomeOut[crossN] = home;
+      crossOut[crossN++] = rid;
+    }
   };
   const auto emit = [&](std::uint32_t r, int tier) { emitId(ids_[r], r, tier); };
 
@@ -472,15 +539,12 @@ MSIM_HOT void RelayRoom::broadcast(std::uint64_t fromUser,
     filtered_ += ByteSize::bytes(static_cast<std::int64_t>(wedgeDrops) * msgBytes);
   }
 
-  if (!same.empty()) {
-    scheduleBatch(outSame, std::move(same), msg, inTime);
-  } else {
-    releaseBatch(std::move(same));
+  if (sameN > 0) {
+    scheduleSpan(outSame, sameOut, sameN, nullptr, senderHome, msg, inTime);
   }
-  if (!cross.empty()) {
-    scheduleBatch(outCross, std::move(cross), std::move(msg), inTime);
-  } else {
-    releaseBatch(std::move(cross));
+  if (crossN > 0) {
+    scheduleSpan(outCross, crossOut, crossN, crossHomeOut, nullptr,
+                 std::move(msg), inTime);
   }
 }
 

@@ -129,6 +129,12 @@ class RelayRoom {
   [[nodiscard]] ByteSize forwardedBytes() const { return forwarded_; }
   /// Forwards scheduled since construction (one per receiver per broadcast).
   [[nodiscard]] std::uint64_t forwardedMessages() const { return forwardedMsgs_; }
+  /// Receiver ids per chunk of the in-flight fan-out arena. A delivery
+  /// with more receivers than this gets a chunk of its own size.
+  static constexpr std::uint32_t kFanoutChunkIds = 4096;
+  /// Chunks the in-flight fan-out arena has allocated, live or recycled:
+  /// its high-water mark in chunks (diagnostic only).
+  [[nodiscard]] std::size_t inFlightChunks() const { return chunks_.size(); }
   /// Per-tier / per-stage breakdown of the same counters.
   [[nodiscard]] const RelayInterestStats& interestStats() const {
     return stats_;
@@ -213,12 +219,30 @@ class RelayRoom {
   /// ids_ sentinel marking a free slot.
   static constexpr std::uint64_t kNoUser = ~std::uint64_t{0};
 
-  /// One receiver of a batched fan-out delivery.
-  struct BatchEntry {
-    std::uint64_t id;
-    RelayServer* home;
+  /// One chunk of the in-flight fan-out arena (DESIGN.md §7): receiver ids
+  /// of scheduled-but-undelivered broadcasts, packed as contiguous spans.
+  /// Cross-home spans keep each receiver's replica in the parallel `homes`
+  /// array, which is allocated on the chunk's first cross-home span.
+  struct FanoutChunk {
+    explicit FanoutChunk(std::uint32_t cap)
+        : ids{std::make_unique_for_overwrite<std::uint64_t[]>(cap)},
+          capacity{cap} {}
+    std::unique_ptr<std::uint64_t[]> ids;
+    std::unique_ptr<RelayServer*[]> homes;
+    std::uint32_t capacity{0};
+    std::uint32_t used{0};
+    std::uint32_t pending{0};     // scheduled spans not yet delivered
+    FanoutChunk* next{nullptr};   // free-list link
   };
-  using Batch = std::vector<BatchEntry>;
+
+  /// The receivers of one delivery event: `count` ids from `offset` in
+  /// `chunk`, with per-receiver homes at the same offset when `crossHome`.
+  struct FanoutSpan {
+    FanoutChunk* chunk;
+    std::uint32_t offset;
+    std::uint32_t count : 31;
+    std::uint32_t crossHome : 1;
+  };
 
   [[nodiscard]] Duration sampleProcessingDelay();
 
@@ -232,11 +256,17 @@ class RelayRoom {
   void unplacedInsert(std::uint32_t slot);
   void unplacedErase(std::uint32_t slot);
 
-  [[nodiscard]] Batch acquireBatch();
-  void releaseBatch(Batch&& batch);
-  /// Schedules one delivery event walking `batch` at time `at`.
-  void scheduleBatch(TimePoint at, Batch batch,
-                     std::shared_ptr<const Message> msg, TimePoint inTime);
+  /// Copies `n` receiver ids (and their `crossHomes`, when given) into the
+  /// arena and schedules one delivery event walking them at `at`; without
+  /// per-receiver homes every receiver is delivered through `home`.
+  void scheduleSpan(TimePoint at, const std::uint64_t* ids, std::uint32_t n,
+                    RelayServer* const* crossHomes, RelayServer* home,
+                    std::shared_ptr<const Message> msg, TimePoint inTime);
+  /// Makes a chunk with room for `n` ids current: the first free chunk that
+  /// fits, else a new one.
+  void takeChunk(std::uint32_t n);
+  /// Called once per delivered span: recycles the chunk with its last one.
+  void releaseSpan(FanoutChunk* chunk);
 
   Simulator& sim_;
   DataSpec spec_;
@@ -295,10 +325,16 @@ class RelayRoom {
   std::unique_ptr<PeriodicTask> evictionTask_;
   Duration evictionTimeout_ = Duration::seconds(15);
   std::vector<std::uint64_t> evictScratch_;
-  // Batched fan-out scratch: same-instant receivers of one broadcast share
-  // a single queue event walking a BatchEntry range; the entry buffers
-  // recycle through batchPool_ (see DESIGN.md §7).
-  std::vector<Batch> batchPool_;
+  // Fan-out: the scan collects each broadcast's same-home and cross-home
+  // receivers in these scratch buffers, then copies them into the arena as
+  // one span per delivery instant (DESIGN.md §7). Chunks are recycled
+  // through freeChunks_ when their last span is delivered.
+  std::vector<std::uint64_t> sameIds_;
+  std::vector<std::uint64_t> crossIds_;
+  std::vector<RelayServer*> crossHomes_;
+  std::vector<std::unique_ptr<FanoutChunk>> chunks_;
+  FanoutChunk* currentChunk_{nullptr};
+  FanoutChunk* freeChunks_{nullptr};
 };
 
 /// One relay replica bound to a node, speaking UDP or a TLS stream.

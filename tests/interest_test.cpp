@@ -18,6 +18,7 @@
 #include "core/seedsweep.hpp"
 #include "interest/grid.hpp"
 #include "interest/lod.hpp"
+#include "net/node.hpp"
 #include "platform/relay.hpp"
 
 namespace msim {
@@ -389,6 +390,255 @@ TEST(RelaySoATest, EvictionSweepWorksOverSlotColumns) {
       sim, Duration::seconds(5), [&room] { room.noteActivity(2); });
   sim.runFor(Duration::seconds(30));
   EXPECT_EQ(room.userIds(), (std::vector<std::uint64_t>{2}));
+}
+
+// ------------------------------------------- in-flight fan-out arena
+
+/// Records, per (sender, receiver) flow, the sequences delivered on it.
+struct FlowLog {
+  std::vector<std::vector<std::vector<std::uint64_t>>> seqs;
+
+  explicit FlowLog(std::size_t users)
+      : seqs(users + 1, std::vector<std::vector<std::uint64_t>>(users + 1)) {}
+
+  void attach(RelayRoom& room) {
+    room.hooks().onLocalDeliver = [this](std::uint64_t to, const Message& m) {
+      seqs[m.senderId][to].push_back(m.sequence);
+    };
+  }
+
+  [[nodiscard]] std::size_t total() const {
+    std::size_t n = 0;
+    for (const auto& row : seqs) {
+      for (const auto& flow : row) n += flow.size();
+    }
+    return n;
+  }
+};
+
+TEST(RelayFanoutArenaTest, InFlightSpansSurviveLeaveAndEvacuation) {
+  // 40 users x 100 broadcasts go in flight before the first delivery lands
+  // (queueing term 40 x 38^1.5 ms ~ 9.4 s), spread over many chunks. Half
+  // the receivers leave and the room is then emptied mid-flight: every
+  // captured receiver still gets exactly its forwards, in flow order.
+  constexpr std::uint64_t kUsers = 40;
+  constexpr std::uint64_t kRounds = 100;
+  DataSpec spec;
+  spec.queueCoefMs = 40.0;
+  Simulator sim{31};
+  RelayRoom room{sim, spec};
+  FlowLog log{kUsers};
+  log.attach(room);
+  for (std::uint64_t u = 1; u <= kUsers; ++u) room.joinDetached(u);
+  for (std::uint64_t i = 1; i <= kRounds; ++i) {
+    for (std::uint64_t u = 1; u <= kUsers; ++u) room.broadcast(u, poseMsg(u, i));
+  }
+  EXPECT_GT(room.inFlightChunks(), 1u);
+
+  sim.runFor(Duration::seconds(1));
+  for (std::uint64_t u = 2; u <= kUsers; u += 2) room.leave(u);
+  sim.runFor(Duration::seconds(1));
+  for (const std::uint64_t u : room.userIds()) room.leave(u);
+  EXPECT_EQ(room.userCount(), 0u);
+  EXPECT_EQ(log.total(), 0u);  // all of it still in flight
+  sim.run();
+
+  for (std::uint64_t from = 1; from <= kUsers; ++from) {
+    for (std::uint64_t to = 1; to <= kUsers; ++to) {
+      const std::vector<std::uint64_t>& got = log.seqs[from][to];
+      if (from == to) {
+        EXPECT_TRUE(got.empty());
+        continue;
+      }
+      ASSERT_EQ(got.size(), kRounds) << from << " -> " << to;
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        EXPECT_EQ(got[i], i + 1) << from << " -> " << to;
+      }
+    }
+  }
+}
+
+TEST(RelayFanoutArenaTest, ChunksRecycleOnlyAfterTheirLastSpan) {
+  // Steady pacing with ~20 rounds in flight (every 5 ms, ~106 ms delay):
+  // chunks fill, drain and recycle continuously, so a chunk handed back
+  // before its last span lands would be overwritten under a pending one.
+  constexpr std::uint64_t kUsers = 20;
+  constexpr std::uint64_t kRounds = 200;
+  DataSpec spec;
+  Simulator sim{36};
+  RelayRoom room{sim, spec};
+  FlowLog log{kUsers};
+  log.attach(room);
+  for (std::uint64_t u = 1; u <= kUsers; ++u) room.joinDetached(u);
+  for (std::uint64_t i = 1; i <= kRounds; ++i) {
+    sim.schedule(TimePoint::epoch() + Duration::millis(5.0 * static_cast<double>(i)),
+                 [&room, i] {
+                   for (std::uint64_t u = 1; u <= kUsers; ++u) {
+                     room.broadcast(u, poseMsg(u, i));
+                   }
+                 });
+  }
+  sim.run();
+  EXPECT_GT(room.inFlightChunks(), 1u);
+  for (std::uint64_t from = 1; from <= kUsers; ++from) {
+    for (std::uint64_t to = 1; to <= kUsers; ++to) {
+      if (from == to) continue;
+      const std::vector<std::uint64_t>& got = log.seqs[from][to];
+      ASSERT_EQ(got.size(), kRounds) << from << " -> " << to;
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        ASSERT_EQ(got[i], i + 1) << from << " -> " << to;
+      }
+    }
+  }
+}
+
+TEST(RelayFanoutArenaTest, BroadcastLargerThanAChunkReachesEveryone) {
+  const auto users = static_cast<std::uint64_t>(RelayRoom::kFanoutChunkIds) + 100;
+  DataSpec spec;
+  spec.queueCoefMs = 0.0;
+  Simulator sim{32};
+  RelayRoom room{sim, spec};
+  std::vector<std::uint32_t> got(users + 1, 0);
+  room.hooks().onLocalDeliver = [&got](std::uint64_t to, const Message&) {
+    ++got[to];
+  };
+  for (std::uint64_t u = 1; u <= users; ++u) room.joinDetached(u);
+  // Two oversized spans in flight together, each in a chunk of its own.
+  room.broadcast(1, poseMsg(1, 1));
+  room.broadcast(2, poseMsg(2, 1));
+  sim.run();
+  EXPECT_EQ(got[1], 1u);
+  EXPECT_EQ(got[2], 1u);
+  for (std::uint64_t u = 3; u <= users; ++u) {
+    ASSERT_EQ(got[u], 2u) << "user " << u;
+  }
+  EXPECT_EQ(room.forwardedMessages(), 2 * (users - 1));
+  EXPECT_EQ(room.inFlightChunks(), 2u);
+}
+
+TEST(RelayFanoutArenaTest, CrossHomeReceiversGoThroughTheirOwnReplica) {
+  // One room on two replicas; clients join over UDP, so each replica binds
+  // its own users. A broadcast's cross-home span must hand every receiver
+  // to that receiver's replica, seen by the client as the datagram source.
+  Simulator sim{33};
+  Network net{sim};
+  Node& node = net.addNode("site");
+  node.addAddress(Ipv4Address(10, 9, 0, 1));
+  DataSpec spec;
+  spec.queueCoefMs = 0.0;
+  auto room = std::make_shared<RelayRoom>(sim, spec);
+  const std::uint16_t ports[2] = {5055, 5056};
+  auto a = RelayServer::makeUdp(node, ports[0], room);
+  auto b = RelayServer::makeUdp(node, ports[1], room);
+
+  constexpr std::uint64_t kUsers = 6;
+  std::vector<std::unique_ptr<UdpSocket>> clients;
+  // via[to][from]: the replica port each forward arrived from.
+  std::vector<std::vector<std::vector<std::uint16_t>>> via(
+      kUsers + 1, std::vector<std::vector<std::uint16_t>>(kUsers + 1));
+  for (std::uint64_t u = 1; u <= kUsers; ++u) {
+    clients.push_back(std::make_unique<UdpSocket>(node));
+    clients.back()->onReceive([&via, u](const Packet& p, const Endpoint& from) {
+      const Message* m = p.primaryMessage();
+      if (m != nullptr && m->kind == relaymsg::kGameState) {
+        via[u][m->senderId].push_back(from.port);
+      }
+    });
+    Message join;
+    join.kind = relaymsg::kJoin;
+    join.size = ByteSize::bytes(64);
+    join.senderId = u;
+    clients.back()->sendTo(Endpoint{node.primaryAddress(), ports[u % 2]},
+                           join.size, std::make_shared<const Message>(join));
+  }
+  sim.run();
+  ASSERT_EQ(room->userCount(), kUsers);
+
+  for (const std::uint64_t from : {1u, 2u}) {
+    Message m;
+    m.kind = relaymsg::kGameState;
+    m.size = ByteSize::bytes(100);
+    m.senderId = from;
+    room->broadcast(from, m);
+  }
+  sim.run();
+  for (std::uint64_t to = 1; to <= kUsers; ++to) {
+    for (const std::uint64_t from : {1u, 2u}) {
+      if (to == from) continue;
+      ASSERT_EQ(via[to][from].size(), 1u) << from << " -> " << to;
+      EXPECT_EQ(via[to][from][0], ports[to % 2]) << from << " -> " << to;
+    }
+  }
+}
+
+TEST(RelayFanoutArenaTest, SecondIdenticalWaveAllocatesNoChunk) {
+  // A lattice wave (every avatar broadcasts before any delivery), then an
+  // all-to-all wave with spans larger than a chunk: once a wave has
+  // drained, the same wave again reuses the recycled chunks.
+  DataSpec spec = gridSpec();
+  spec.interestFullRadiusM = spec.interestRadiusM;  // no decimation: waves repeat
+  Simulator sim{34};
+  RelayRoom grid{sim, spec};
+  constexpr int kSide = 40;
+  for (int i = 0; i < kSide * kSide; ++i) {
+    const auto id = static_cast<std::uint64_t>(i + 1);
+    grid.joinDetached(id);
+    grid.updatePose(id, Pose{4.0 * (i % kSide), 4.0 * (i / kSide), 0});
+  }
+  const auto gridWave = [&](std::uint64_t seq) {
+    for (std::uint64_t id = 1; id <= kSide * kSide; ++id) {
+      grid.broadcast(id, poseMsg(id, seq));
+    }
+    sim.run();
+  };
+  gridWave(1);
+  const std::size_t gridChunks = grid.inFlightChunks();
+  EXPECT_GT(gridChunks, 1u);
+  const std::uint64_t forwards = grid.forwardedMessages();
+  gridWave(2);
+  EXPECT_EQ(grid.forwardedMessages(), 2 * forwards);
+  EXPECT_EQ(grid.inFlightChunks(), gridChunks);
+
+  DataSpec open;
+  open.queueCoefMs = 0.0;
+  RelayRoom all{sim, open};
+  const auto users = static_cast<std::uint64_t>(RelayRoom::kFanoutChunkIds) + 2;
+  for (std::uint64_t u = 1; u <= users; ++u) all.joinDetached(u);
+  const auto allWave = [&] {
+    for (std::uint64_t u = 1; u <= 3; ++u) all.broadcast(u, poseMsg(u, 1));
+    sim.run();
+  };
+  allWave();
+  EXPECT_EQ(all.inFlightChunks(), 3u);
+  allWave();
+  EXPECT_EQ(all.inFlightChunks(), 3u);
+}
+
+TEST(RelayFanoutArenaTest, DrainedChunkIsRecycledWhenALargerSpanTakesOver) {
+  // A drained regular chunk is current when the room grows past a chunk's
+  // worth of receivers; the oversized chunk takes over and the regular one
+  // must go back to the free list, to serve the small spans that later
+  // overflow the oversized chunk.
+  DataSpec spec;
+  spec.queueCoefMs = 0.0;
+  Simulator sim{35};
+  RelayRoom room{sim, spec};
+  const auto big = static_cast<std::uint64_t>(RelayRoom::kFanoutChunkIds) + 2;
+  for (std::uint64_t u = 1; u <= 10; ++u) room.joinDetached(u);
+  room.broadcast(1, poseMsg(1, 1));
+  sim.run();
+  for (std::uint64_t u = 11; u <= big; ++u) room.joinDetached(u);
+  room.broadcast(1, poseMsg(1, 2));
+  sim.run();
+  EXPECT_EQ(room.inFlightChunks(), 2u);
+  for (std::uint64_t u = 11; u <= big; ++u) room.leave(u);
+  // 600 spans of 9 receivers: more than the oversized chunk holds.
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    room.broadcast(1 + i % 10, poseMsg(1 + i % 10, 3 + i / 10));
+  }
+  sim.run();
+  EXPECT_EQ(room.inFlightChunks(), 2u);
+  EXPECT_EQ(room.forwardedMessages(), 9 + (big - 1) + 600 * 9);
 }
 
 // -------------------------------------------------- migration / snapshots

@@ -5,8 +5,9 @@ Usage:
     tools/bench_diff.py OLD.json NEW.json [--format text|md] [--threshold PCT]
                         [--gate PCT] [--only REGEX] [--max-alloc VALUE]
 
-Matches benchmarks by name (repetition aggregates: the ``_mean`` row is
-preferred when repetitions > 1, otherwise the raw row). For each benchmark
+Matches benchmarks by name (repetition aggregates: the ``_median`` row is
+preferred when repetitions > 1, then ``_mean``, otherwise the raw row — one
+slow repetition on a noisy host moves a mean but not a median). For each benchmark
 present in both files it reports real time, the throughput-style counters
 (items_per_second / bytes_per_second), and any alloc-budget counters
 (allocs_per_*), with the relative change. Rows whose |time delta| exceeds
@@ -25,8 +26,9 @@ rename must re-record the baseline in the same change. --only REGEX restricts th
 diff (and any gating) to benchmarks whose name matches the pattern — used
 in CI to gate just the hot-path rows. --max-alloc VALUE gates on the
 alloc-budget counters themselves: exit 1 when any candidate row's
-allocs_per_* counter exceeds VALUE (so the relay's zero-allocation budget
-is enforced even when timings are too noisy to gate). The numbers only
+allocs_per_* counter exceeds VALUE in any repetition (so the relay's
+zero-allocation budget is enforced even when timings are too noisy to
+gate, and a median cannot hide one allocating repetition). The numbers only
 mean anything when both files came from Release builds of the same machine
 (see tools/run_simcore_bench.sh, which refuses Debug trees).
 
@@ -45,23 +47,36 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_rows(path: str) -> dict[str, dict]:
-    """Return {base_name: row} preferring _mean aggregates over raw rows."""
+    """Return {base_name: row} preferring the _median aggregate, then _mean,
+    over raw rows. Each row's ``allocs_max`` holds every allocs_per_*
+    counter's maximum over the run's repetitions."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     rows: dict[str, dict] = {}
-    means: dict[str, dict] = {}
+    aggregates: dict[str, dict[str, dict]] = {}
+    allocs_max: dict[str, dict[str, float]] = {}
     for row in doc.get("benchmarks", []):
         name = row.get("name", "")
+        run_name = row.get("run_name", name)
         run_type = row.get("run_type", "iteration")
         scale = TIME_UNIT_NS.get(row.get("time_unit", "ns"), 1.0)
         row["real_time_ns"] = row.get("real_time", 0.0) * scale
         if run_type == "aggregate":
-            if row.get("aggregate_name") == "mean":
-                means[row.get("run_name", name)] = row
+            aggregates.setdefault(run_name, {})[row.get("aggregate_name")] = row
             continue
+        worst = allocs_max.setdefault(run_name, {})
+        for key, value in row.items():
+            if key.startswith("allocs_per_"):
+                worst[key] = max(worst.get(key, value), value)
         # Keep the first iteration row per run_name (repetitions repeat it).
-        rows.setdefault(row.get("run_name", name), row)
-    rows.update(means)
+        rows.setdefault(run_name, row)
+    for run_name, aggs in aggregates.items():
+        for preferred in ("median", "mean"):
+            if preferred in aggs:
+                rows[run_name] = aggs[preferred]
+                break
+    for run_name, row in rows.items():
+        row["allocs_max"] = allocs_max.get(run_name, {})
     return rows
 
 
@@ -110,9 +125,10 @@ def diff_rows(old: dict[str, dict], new: dict[str, dict], threshold: float):
                     break
             allocs = sorted(k for k in row if k.startswith("allocs_per_"))
             if allocs:
-                entry["alloc"] = row[allocs[0]]
+                worst = worst_allocs(row, allocs)
+                entry["alloc"] = worst[allocs[0]]
                 if o is None:
-                    entry["new_allocs"] = {k: row[k] for k in allocs}
+                    entry["new_allocs"] = worst
             out.append(entry)
             continue
         entry = {
@@ -133,11 +149,18 @@ def diff_rows(old: dict[str, dict], new: dict[str, dict], threshold: float):
         allocs = sorted(k for k in n if k.startswith("allocs_per_"))
         if allocs:
             entry["alloc_key"] = allocs[0]
-            entry["old_alloc"] = o.get(allocs[0])
-            entry["new_alloc"] = n.get(allocs[0])
-            entry["new_allocs"] = {k: n[k] for k in allocs}
+            entry["new_allocs"] = worst_allocs(n, allocs)
+            entry["new_alloc"] = entry["new_allocs"][allocs[0]]
+            if allocs[0] in o:
+                entry["old_alloc"] = worst_allocs(o, allocs[:1])[allocs[0]]
         out.append(entry)
     return out
+
+
+def worst_allocs(row: dict, keys: list[str]) -> dict[str, float]:
+    """The gated values: each counter's worst repetition when known."""
+    worst = row.get("allocs_max", {})
+    return {k: worst.get(k, row[k]) for k in keys}
 
 
 def render(entries, fmt: str, threshold: float) -> str:
