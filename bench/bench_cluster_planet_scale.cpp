@@ -20,7 +20,9 @@
 // leaves, and the sweep merges in seed order, so the report (and the digest
 // it prints) is byte-identical for any MSIM_THREADS. The per-instance check
 // compares per-user downlink on the shards the drain did not touch with a
-// single relay room at one shard's occupancy.
+// single relay room at one shard's occupancy; "busiest util" is the busiest
+// shard's mean utilization over the window (its forwards against
+// measure × forward capacity).
 //
 // Threads-sweep mode (`--threads-sweep` or MSIM_PDES_SWEEP=1): ONE seed of
 // the same workload at 1/2/4/8 engine workers.
@@ -46,7 +48,13 @@
 // MSIM_PDES_JSON=<path> to write a file) whose context records the host
 // core count and CPU model, and exit nonzero unless the audit digest is
 // byte-identical across the worker counts, zero deliveries were lost, and
-// the ghost ledger balances exactly.
+// the ghost ledger balances exactly. Every run ends when the last delivery
+// lands: no load sampler ticks after the window, so the event count holds
+// only work, and events/s is not comparable with builds whose samplers
+// ticked through the tail (compare wall seconds instead).
+//
+// Any argument other than the mode flags and --help prints usage to stderr
+// and exits non-zero before building a cluster.
 
 #include <sys/resource.h>
 
@@ -290,13 +298,14 @@ int runWorkerRows(const std::string& title, const std::string& reproduces,
   const Row& last = rows.back();
   std::printf("\ndigest check: %s across {%s} workers\n",
               digestsMatch ? "byte-identical" : "DIVERGED", countList.c_str());
-  std::printf("zero-loss check: %" PRIu64 " deliveries lost (must be 0)\n",
-              lostTotal);
+  std::printf("zero-loss check: %" PRIu64 " delivered per run, %" PRIu64
+              " deliveries lost (must be 0)\n",
+              first.delivered, lostTotal);
   std::printf("ghost ledger: %" PRIu64 " sent / %" PRIu64 " received (%s)\n",
               first.ghostsSent, first.ghostsReceived,
               ledgerBalanced ? "balanced" : "IMBALANCED");
   std::printf("drain: %" PRIu64 " users migrated in %" PRIu64
-              " cross-partition hops (2 per direct-link migration)\n",
+              " cross-partition hops (2 per migration)\n",
               first.migratedUsers, first.migrationHops);
   std::printf("speedup at %u workers: %.2fx on a %u-core host\n", last.threads,
               speedup(last), hostCores);
@@ -372,7 +381,7 @@ int runSeedSweepMode(int users, int shards) {
       static_cast<double>(AvatarSpec{}.bytesPerUpdate.toBits());
   std::string report;
   TablePrinter table{{"seed#", "broadcasts", "delivered", "lost", "migrated",
-                      "max util", "per-user down Mbps", "audit digest"}};
+                      "busiest util", "per-user down Mbps", "audit digest"}};
   std::uint64_t lostTotal = 0;
   double downMean = 0.0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -433,14 +442,38 @@ int runSeedSweepMode(int users, int shards) {
   return lostTotal == 0 ? 0 : 1;
 }
 
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "usage: bench_cluster_planet_scale [--threads-sweep | --million | "
+      "--help]\n"
+      "  (no flag)        seed sweep of the 10 Hz workload (MSIM_SEEDS)\n"
+      "  --threads-sweep  one seed at 1/2/4/8 engine workers\n"
+      "  --million        1M users on 64 shards at 1/2/8 workers\n"
+      "  env: MSIM_CLUSTER_USERS, MSIM_CLUSTER_INSTANCES, MSIM_MEASURE_S,\n"
+      "       MSIM_PDES_SWEEP=1, MSIM_PDES_MILLION=1, MSIM_PDES_JSON=<path>\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool sweep = envInt("MSIM_PDES_SWEEP", 0) > 0;
   bool million = envInt("MSIM_PDES_MILLION", 0) > 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::string{argv[i]} == "--threads-sweep") sweep = true;
-    if (std::string{argv[i]} == "--million") million = true;
+    const std::string arg{argv[i]};
+    if (arg == "--threads-sweep") {
+      sweep = true;
+    } else if (arg == "--million") {
+      million = true;
+    } else if (arg == "--help") {
+      usage(stdout);
+      return 0;
+    } else {
+      std::fprintf(stderr, "bench_cluster_planet_scale: unknown argument %s\n",
+                   argv[i]);
+      usage(stderr);
+      return 2;
+    }
   }
   if (million) {
     // 1M users over 64 shards unless overridden (CI smokes a scaled copy);

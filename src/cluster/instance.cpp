@@ -45,8 +45,9 @@ void RelayInstance::beginDrain() {
 void RelayInstance::stop() {
   state_ = InstanceState::Stopped;
   if (loadSampler_) loadSampler_->stop();
-  // Pending fan-out batches captured the room shared_ptr; keeping room_
-  // alive here lets in-flight deliveries complete after the shard stops.
+  // A room must outlive every delivery it scheduled: each in-flight span
+  // event points at the room itself. room_ stays alive here, so in-flight
+  // deliveries complete after the shard stops.
 }
 
 RelayRoomSnapshot RelayInstance::evacuate() {

@@ -74,9 +74,10 @@ class RelayInstance {
   void stop();
 
   // ---- room hand-off (drain, crash, partitioned migration) -----------------
-  /// Exports the room in id order and leaves every member. Fan-out batches
-  /// already scheduled here captured their recipients at broadcast time, so
-  /// in-flight deliveries still land after the members are gone.
+  /// Exports the room in id order and leaves every member. Fan-out spans
+  /// already scheduled here fixed their receivers in the room's arena at
+  /// broadcast time, so in-flight deliveries still land after the members
+  /// are gone.
   RelayRoomSnapshot evacuate();
   /// Imports an evacuated room, pre-sized for the merged population so a
   /// large import never rehashes a column mid-join. `homeFor` keeps

@@ -118,8 +118,8 @@ std::size_t InstanceManager::drain(
 std::size_t InstanceManager::crash(std::uint32_t instanceId) {
   RelayInstance* inst = instance(instanceId);
   if (inst == nullptr || inst->state() == InstanceState::Stopped) return 0;
-  // Members drop with no handoff: in-flight batches still deliver (the room
-  // outlives the stop), but everything after the crash instant is lost
+  // Members drop with no handoff: in-flight fan-out spans still deliver (the
+  // room outlives the stop), but everything after the crash instant is lost
   // until sessions reconnect and recover via channel history.
   const std::size_t dropped = inst->evacuate().users.size();
   inst->stop();
@@ -136,9 +136,9 @@ std::size_t InstanceManager::migrateRoom(
   if (source->userCount() == 0) return 0;
 
   // Leave-then-import schedules nothing in between, so within this event no
-  // send can observe a user in neither room. Fan-out batches already
-  // scheduled on the source captured (id, home) pairs and the room's
-  // delivery hook, so in-flight updates still land after the leave.
+  // send can observe a user in neither room. Fan-out spans already
+  // scheduled on the source keep their receivers (ids and homes) in the
+  // source room's arena, so in-flight updates still land after the leave.
   const RelayRoomSnapshot snap = source->evacuate();
   target->adopt(snap, homeFor);
   for (const RelayUserRecord& u : snap.users) {

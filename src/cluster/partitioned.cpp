@@ -34,6 +34,11 @@ PartitionedClusterConfig normalize(PartitionedClusterConfig cfg) {
         "PartitionedCluster: placement is round-robin; a user cap "
         "(softUserCap, maxEventUsers) is not supported");
   }
+  if (!cfg.directShardLinks) {
+    throw std::invalid_argument(
+        "PartitionedCluster: migrations and ghosts ride the direct shard "
+        "mesh; directShardLinks = false is not supported");
+  }
   if (cfg.shards < 1) cfg.shards = 1;
   if (cfg.users < 0) cfg.users = 0;
   return cfg;
@@ -56,10 +61,9 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
   const auto shardCount = static_cast<std::uint32_t>(cfg_.shards);
 
   // Channels: control <-> each shard with lookahead = geo trunk bound
-  // floored by the control-plane turnaround, plus (by default) a direct
-  // shard <-> shard mesh at the raw trunk bound — the lanes migration
-  // snapshots and interest-scoped ghosts ride instead of bouncing through
-  // control.
+  // floored by the control-plane turnaround, plus a direct shard <-> shard
+  // mesh at the raw trunk bound — the lanes migration snapshots and
+  // interest-scoped ghosts ride.
   shards_.resize(shardCount);
   for (std::uint32_t s = 0; s < shardCount; ++s) {
     const Region& region = regionOf(s);
@@ -80,13 +84,11 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
           ++shards_[s].delivered;
         });
   }
-  if (cfg_.directShardLinks) {
-    for (std::uint32_t s = 0; s < shardCount; ++s) {
-      for (std::uint32_t t = 0; t < shardCount; ++t) {
-        if (s == t) continue;
-        engine_.link(partitionOf(s), partitionOf(t),
-                     InternetFabric::trunkLookahead(regionOf(s), regionOf(t)));
-      }
+  for (std::uint32_t s = 0; s < shardCount; ++s) {
+    for (std::uint32_t t = 0; t < shardCount; ++t) {
+      if (s == t) continue;
+      engine_.link(partitionOf(s), partitionOf(t),
+                   InternetFabric::trunkLookahead(regionOf(s), regionOf(t)));
     }
   }
 
@@ -145,35 +147,21 @@ void PartitionedCluster::scheduleDrain(std::uint32_t shard, TimePoint at) {
 //
 // Every cross-partition send instant in this workload is derivable: drain
 // orders go out exactly at their scheduled times, exports exactly when the
-// order lands, hub relays exactly one shard->control hop later, and ghosts
-// exactly on pacing ticks. The helpers below keep each partition's
-// out-links promised up to the earliest such instant still ahead of it, so
-// the engine's adaptive bounds can run every quiet stretch as one window.
+// order lands, and ghosts exactly on pacing ticks. The helpers below keep
+// each partition's out-links promised up to the earliest such instant still
+// ahead of it, so the engine's adaptive bounds can run every quiet stretch
+// as one window.
 // Under-promising (a floor earlier than the next real send) is always
 // sound; the floors are also monotone by construction, which notePromise
 // enforces.
 
-std::int64_t PartitionedCluster::nextControlSendNs() const {
-  std::int64_t floorNs = kInfNs;
-  if (drainCursor_ < drainSchedule_.size()) {
-    floorNs = drainSchedule_[drainCursor_].first;
-  }
-  for (const std::int64_t f : pendingForwardNs_) {
-    floorNs = std::min(floorNs, f);
-  }
-  return floorNs;
-}
-
 void PartitionedCluster::promiseControlLinks() {
   pdes::Partition& control = engine_.partition(0);
-  const std::int64_t nowNs = control.sim().now().toNanos();
-  // Relay entries in the past can no longer constrain a future send (their
-  // forward either executed or never will — an empty source exports
-  // nothing); drop them so one stale entry can't pin the floor forever.
-  std::erase_if(pendingForwardNs_,
-                [nowNs](std::int64_t f) { return f < nowNs; });
-  const TimePoint floor =
-      TimePoint::fromNanos(std::max(nextControlSendNs(), nowNs));
+  const std::int64_t nextOrderNs = drainCursor_ < drainSchedule_.size()
+                                       ? drainSchedule_[drainCursor_].first
+                                       : kInfNs;
+  const TimePoint floor = TimePoint::fromNanos(
+      std::max(nextOrderNs, control.sim().now().toNanos()));
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     control.promiseNoSendBefore(partitionOf(s), floor);
   }
@@ -189,7 +177,6 @@ void PartitionedCluster::promiseShardLinks(std::uint32_t s) {
   const auto shardCount = static_cast<std::uint32_t>(shards_.size());
   const std::uint32_t ghostTarget = (s + 1) % shardCount;
   part.promiseNoSendBefore(0, TimePoint::fromNanos(std::max(drainFloor, nowNs)));
-  if (!cfg_.directShardLinks) return;
   for (std::uint32_t t = 0; t < shardCount; ++t) {
     if (t == s) continue;
     std::int64_t floorNs = drainFloor;
@@ -231,15 +218,6 @@ void PartitionedCluster::controlDrain(std::uint32_t source) {
   const Duration toSource = engine_.lookahead(0, partitionOf(source));
   control.send(partitionOf(source), control.sim().now() + toSource,
                [this, source, target] { sourceExport(source, target); });
-  if (!engine_.linked(partitionOf(source), partitionOf(target))) {
-    // Hub relay: the snapshot will bounce through control exactly one
-    // shard->control hop after the order lands — control cannot promise
-    // past that instant until the relay retires.
-    pendingForwardNs_.push_back(
-        (control.sim().now() + toSource +
-         engine_.lookahead(partitionOf(source), 0))
-            .toNanos());
-  }
   promiseControlLinks();
 }
 
@@ -259,40 +237,23 @@ void PartitionedCluster::sourceExport(std::uint32_t source,
     return;
   }
 
+  // Second hop: the snapshot rides the direct link straight to the target.
   pdes::Partition& part = engine_.partition(partitionOf(source));
-  const std::uint32_t srcPart = partitionOf(source);
-  const std::uint32_t dstPart = partitionOf(target);
-  if (engine_.linked(srcPart, dstPart)) {
-    // Two hops: the snapshot rides the direct link straight to the target.
-    part.send(dstPart, part.sim().now() + engine_.lookahead(srcPart, dstPart),
-              [this, snap, target] { importMigration(target, snap, 2); });
-  } else {
-    // Three-hop fallback: relay through control, as the hub topology must.
-    part.send(0, part.sim().now() + engine_.lookahead(srcPart, 0),
-              [this, snap, target] { controlForward(snap, target); });
-  }
+  part.send(partitionOf(target),
+            part.sim().now() +
+                engine_.lookahead(partitionOf(source), partitionOf(target)),
+            [this, snap, target] { importMigration(target, snap); });
   promiseShardLinks(source);
 }
 
-void PartitionedCluster::controlForward(
-    std::shared_ptr<RelayRoomSnapshot> snap, std::uint32_t target) {
-  pdes::Partition& control = engine_.partition(0);
-  control.send(partitionOf(target),
-               control.sim().now() + engine_.lookahead(0, partitionOf(target)),
-               [this, snap, target] { importMigration(target, snap, 3); });
-  promiseControlLinks();
-}
-
 void PartitionedCluster::importMigration(
-    std::uint32_t target, const std::shared_ptr<RelayRoomSnapshot>& snap,
-    std::uint32_t hops) {
+    std::uint32_t target, const std::shared_ptr<RelayRoomSnapshot>& snap) {
   Shard& shard = shards_[target];
   // At 1M-user scale an import can double a shard; adopt() pre-sizes for
   // the merged population first.
   shard.inst->adopt(*snap);
   ++shard.migrationsIn;
   shard.migratedUsersIn += snap->users.size();
-  shard.migrationHopsIn += hops;
 }
 
 // ---- pacing -----------------------------------------------------------------
@@ -385,11 +346,13 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
     // Pace over the half-open window [0, stopAt). This stop event is
     // scheduled now, before the tick one period earlier arms the tick that
     // lands on stopAt, so it carries the smaller seq and runs first: the
-    // edge tick never fires. Stopping also retires the ghost lane's promise
-    // floor.
+    // edge tick never fires. The shard's load sampler stops with it, so
+    // once the in-flight tail has landed the partition is idle. Stopping
+    // also retires the ghost lane's promise floor.
     PeriodicTask* pacer = shard.pacer.get();
     sim.schedule(stopAt, [this, s, pacer] {
       pacer->stop();
+      shards_[s].inst->stop();
       if (ghostActive()) {
         shards_[s].nextGhostTickNs = kInfNs;
         promiseShardLinks(s);
@@ -397,52 +360,35 @@ PartitionedClusterStats PartitionedCluster::run(Duration measure,
     });
   }
 
+  // Once the window closes nothing recurs, so the engine runs to idle: the
+  // run ends at the instant of the last delivery, however far past the
+  // window RelayRoom::sampleProcessingDelay's room-size term, queueCoefMs ·
+  // (n−2)^1.5, pushed it (≈1,953 s at 15,625 users per shard). `slack` is
+  // only a floor on that end instant.
   PartitionedClusterStats stats;
-  stats.engine = engine_.run(stopAt + slack);
+  stats.engine = engine_.run();
+  const TimePoint end = stopAt + slack;
+  if (engine_.partition(0).sim().now() < end) (void)engine_.run(end);
 
-  // Flush the in-flight tail. Scheduled deliveries can land far past any
-  // fixed slack: RelayRoom::sampleProcessingDelay adds queueCoefMs ·
-  // (n−2)^1.5 for a room of n users (1.0 × 15,623^1.5 ms ≈ 1,953 s at
-  // 15,625 users per shard, the 1M-user run, whose max utilization is 0),
-  // on top of the base delay the capacity model's inflation scales on a
-  // saturated shard. The per-shard load samplers tick forever, so the
-  // engine can't simply run to idle: extend the horizon in bounded slices
-  // until the ledger balances. The slice count is a pure function of simulated
-  // state — identical for every worker count — so digests stay
-  // thread-invariant.
-  auto outstanding = [this] {
-    std::uint64_t expected = 0;
-    std::uint64_t delivered = 0;
-    for (const Shard& shard : shards_) {
-      expected += shard.expected + shard.ghostsSent;
-      delivered += shard.delivered + shard.ghostsReceived;
-    }
-    return expected - delivered;
-  };
-  TimePoint horizon = stopAt + slack;
-  for (int guard = 0; guard < 1000 && outstanding() > 0; ++guard) {
-    horizon = horizon + Duration::seconds(10);
-    const pdes::RunReport extra = engine_.run(horizon);
-    stats.engine.rounds += extra.rounds;
-    stats.engine.eventsExecuted += extra.eventsExecuted;
-    stats.engine.messagesDelivered += extra.messagesDelivered;
-    stats.engine.coalescedWindows += extra.coalescedWindows;
-  }
-
+  const double windowCapacity =
+      measure.toSeconds() * cfg_.capacity.forwardCapacityPerSec();
   for (const Shard& shard : shards_) {
     stats.broadcasts += shard.broadcasts;
     stats.expectedDeliveries += shard.expected;
     stats.delivered += shard.delivered;
     stats.migrations += shard.migrationsIn;
     stats.migratedUsers += shard.migratedUsersIn;
-    stats.migrationHops += shard.migrationHopsIn;
     stats.ghostsSent += shard.ghostsSent;
     stats.ghostsReceived += shard.ghostsReceived;
     stats.usersPerShard.push_back(shard.inst->userCount());
-    stats.forwardsPerShard.push_back(shard.inst->roomPtr()->forwardedMessages());
-    stats.maxUtilization =
-        std::max(stats.maxUtilization, shard.inst->utilization());
+    const std::uint64_t forwards = shard.inst->room().forwardedMessages();
+    stats.forwardsPerShard.push_back(forwards);
+    if (windowCapacity > 0.0) {
+      stats.maxUtilization = std::max(
+          stats.maxUtilization, static_cast<double>(forwards) / windowCapacity);
+    }
   }
+  stats.migrationHops = 2 * stats.migrations;
   return stats;
 }
 

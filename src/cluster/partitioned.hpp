@@ -16,18 +16,16 @@
 // the partitioning parallelizes. Shard s serves us-east, us-west and
 // europe in turn (s % 3); control is homed in us-east.
 //
-// Topology: control <-> every shard partition, plus (by default) a full
-// mesh of direct shard <-> shard channels with geo-trunk lookahead. A drain
-// then travels drain-order -> snapshot-to-target as TWO timestamped hops —
-// the source exports straight to the target over its direct link — with the
-// classic three-hop relay through control kept as the fallback whenever no
-// direct channel exists (directShardLinks = false). The source empties the
-// moment it exports (RelayInstance::evacuate; in-flight fan-out batches
-// still deliver — they captured their recipients at broadcast time).
-// Expected and delivered counts are kept per shard partition, so the
-// zero-loss ledger is exact; migration accounting lives in per-shard import
-// counters so the two-hop path never touches control state from a shard
-// partition's event.
+// Topology: control <-> every shard partition, plus a full mesh of direct
+// shard <-> shard channels with geo-trunk lookahead. A drain travels
+// drain-order -> snapshot-to-target as TWO timestamped hops — the source
+// exports straight to the target over its direct link. The source empties
+// the moment it exports (RelayInstance::evacuate; in-flight fan-out spans
+// still deliver — their receivers were fixed in the room's arena at
+// broadcast time). Expected and delivered counts are kept per shard
+// partition, so the zero-loss ledger is exact; migration accounting lives
+// in per-shard import counters so no shard partition's event touches
+// control state.
 //
 // Window coalescing: the cluster always maintains per-link send promises
 // (pdes::Partition::promiseNoSendBefore) from what it already knows
@@ -77,10 +75,9 @@ struct PartitionedClusterConfig {
   /// Engine workers: 0 leases from the process ThreadBudget (honors
   /// MSIM_THREADS), > 0 pins the pool size. Results identical either way.
   unsigned threads{0};
-  /// Declare direct shard <-> shard channels (full mesh) with geo-trunk
-  /// lookahead: migration snapshots hop source -> target directly (two hops
-  /// instead of three) and interest-scoped ghost forwarding has a lane.
-  /// Off = the classic hub star; migrations then relay through control.
+  /// The direct shard <-> shard mesh (geo-trunk lookahead) that migration
+  /// snapshots and interest-scoped ghosts ride. It is always declared;
+  /// false is rejected with std::invalid_argument.
   bool directShardLinks{true};
   /// Let the engine honour the per-link send promises the cluster derives
   /// from the drain schedule and pacing cadence, so it coalesces windows
@@ -94,8 +91,8 @@ struct PartitionedClusterConfig {
   /// forwarding need. 0 = no poses (all-to-all fan-out path).
   double latticeSpacingM{0.0};
   /// Ghost avatars within ghostRadiusM of each shard's portal point (the
-  /// lattice origin) to the ring-next shard every pacing tick. Requires
-  /// directShardLinks and at least two shards.
+  /// lattice origin) to the ring-next shard every pacing tick. Requires at
+  /// least two shards.
   bool interestForwarding{false};
   double ghostRadiusM{25.0};
 };
@@ -106,14 +103,16 @@ struct PartitionedClusterStats {
   std::uint64_t delivered{0};
   std::uint64_t migrations{0};
   std::uint64_t migratedUsers{0};
-  /// Cross-partition hops the migrations took in total: 2 per direct-link
-  /// migration, 3 per hub-relayed one — the regression hook for the
-  /// two-hop path.
+  /// Cross-partition hops the migrations took in total: 2 per migration
+  /// (drain order, snapshot).
   std::uint64_t migrationHops{0};
   /// Interest-scoped ghost ledger (exactly-once: sent == received once the
   /// tail drains).
   std::uint64_t ghostsSent{0};
   std::uint64_t ghostsReceived{0};
+  /// The busiest shard's mean utilization over the measurement window:
+  /// max over shards of forwardsPerShard[s] / (measure ×
+  /// capacity.forwardCapacityPerSec()). Above 1 = overcommitted.
   double maxUtilization{0.0};
   std::vector<std::size_t> usersPerShard;      // shard-id order
   std::vector<std::uint64_t> forwardsPerShard;  // shard-id order
@@ -133,19 +132,17 @@ class PartitionedCluster {
   /// Schedules a control-brokered drain of `shard` at absolute time `at`
   /// (must be called before run()). The control partition picks the
   /// least-assigned accepting target; the snapshot then hops straight to
-  /// the target over a direct link when one exists, or relays through
-  /// control otherwise.
+  /// the target over the direct link.
   void scheduleDrain(std::uint32_t shard, TimePoint at);
 
   /// Paces every shard at cfg.updateRateHz over the half-open window
   /// [0, measure) — a tick landing exactly on `measure` does not fire —
-  /// lets the in-flight tail (deliveries, migration hops) settle for
-  /// `slack`, then keeps extending the horizon in bounded slices until
-  /// every expected delivery has landed (the room-size queueing term of the
-  /// processing delay, queueCoefMs · (n−2)^1.5, defers deliveries ~1,953 s
-  /// at 15,625 users per shard, and saturated shards inflate the base delay
-  /// too; the slice count depends only on simulated state, so digests stay
-  /// thread-invariant). Callable once per instance.
+  /// and stops each shard's load sampler with its pacer at `measure`. The
+  /// engine then runs to idle, so the run ends at the instant of the last
+  /// delivery (the room-size queueing term of the processing delay,
+  /// queueCoefMs · (n−2)^1.5, defers deliveries ~1,953 s at 15,625 users
+  /// per shard), or at measure + `slack` if that is later. Callable once
+  /// per instance.
   PartitionedClusterStats run(Duration measure, Duration slack);
 
   /// Per-partition audit digests folded in partition-id order (see
@@ -163,14 +160,13 @@ class PartitionedCluster {
     std::unique_ptr<PeriodicTask> pacer;
     // Every counter below is written only by this shard's own partition
     // events (imports run on the target, ghosts count on sender/receiver
-    // sides separately), so the two-hop path never races on shared state.
+    // sides separately), so migrations never race on shared state.
     std::uint64_t broadcasts{0};
     std::uint64_t expected{0};
     std::uint64_t delivered{0};
     std::uint64_t seq{0};  // per-partition update sequence stamp
     std::uint64_t migrationsIn{0};      // snapshots imported here
     std::uint64_t migratedUsersIn{0};   // users those snapshots carried
-    std::uint64_t migrationHopsIn{0};   // 2 per direct, 3 per hub relay
     std::uint64_t ghostsSent{0};
     std::uint64_t ghostsReceived{0};
     std::int64_t nextGhostTickNs{0};  // promise floor for the ghost lane
@@ -183,25 +179,19 @@ class PartitionedCluster {
   }
 
   [[nodiscard]] bool ghostActive() const {
-    return cfg_.interestForwarding && cfg_.directShardLinks &&
-           shards_.size() > 1;
+    return cfg_.interestForwarding && shards_.size() > 1;
   }
 
   void controlDrain(std::uint32_t source);
   void sourceExport(std::uint32_t source, std::uint32_t target);
-  void controlForward(std::shared_ptr<RelayRoomSnapshot> snap,
-                      std::uint32_t target);
   /// Final migration hop, always executed on the target's partition.
   void importMigration(std::uint32_t target,
-                       const std::shared_ptr<RelayRoomSnapshot>& snap,
-                       std::uint32_t hops);
+                       const std::shared_ptr<RelayRoomSnapshot>& snap);
   void paceShard(std::uint32_t shard);
 
   // ---- promise choreography ------------------------------------------------
-  /// Earliest instant control could still send on any out-link: the next
-  /// unprocessed drain order, or an in-flight hub-relay forward.
-  [[nodiscard]] std::int64_t nextControlSendNs() const;
-  /// Re-promises every control out-link from the floor above.
+  /// Re-promises every control out-link up to the next unprocessed drain
+  /// order, the earliest instant control could still send.
   void promiseControlLinks();
   /// Re-promises every out-link of shard s: the next drain-order arrival
   /// (= the export send instant), min'd with the next pacing tick on the
@@ -221,7 +211,6 @@ class PartitionedCluster {
   // cursors advance as each export executes on its shard.
   std::vector<std::pair<std::int64_t, std::uint32_t>> drainSchedule_;
   std::size_t drainCursor_{0};
-  std::vector<std::int64_t> pendingForwardNs_;  // in-flight hub relays
   std::vector<std::vector<std::int64_t>> shardDrainNs_;  // arrival instants
   std::vector<std::size_t> shardDrainCursor_;
   std::int64_t pacePeriodNs_{0};

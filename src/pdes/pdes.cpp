@@ -339,7 +339,7 @@ void Engine::relaxBounds(std::vector<std::int64_t>& eot,
   }
   for (std::uint32_t i = 0; i < count; ++i) {
     // Execute events strictly below the bound, never past the run limit:
-    // run(t) is inclusive of t, hence the -1.
+    // dispatchThrough(t) is inclusive of t, hence the -1.
     bound[i] = std::min(bound[i] - 1, limitNs);
   }
 }
@@ -372,7 +372,7 @@ std::uint64_t Engine::computeBounds(std::int64_t limitNs) {
 
 void Engine::runOne(std::uint32_t i) {
   Partition& p = *partitions_[i];
-  p.executed_ = p.sim().run(TimePoint::fromNanos(boundNs_[i]));
+  p.executed_ = p.sim().dispatchThrough(TimePoint::fromNanos(boundNs_[i]));
 }
 
 void Engine::runRound(unsigned workers) {
@@ -386,7 +386,23 @@ void Engine::runRound(unsigned workers) {
 }
 
 RunReport Engine::run(TimePoint limit) {
-  const std::int64_t limitNs = limit.toNanos();
+  RunReport report = runWindows(limit.toNanos());
+  // Align every clock exactly at the limit (run() with nothing due just
+  // advances time), so repeated run() calls and post-run probes see one
+  // consistent instant.
+  for (auto& p : partitions_) p->sim().run(limit);
+  return report;
+}
+
+RunReport Engine::run() {
+  RunReport report = runWindows(kInfNs);
+  TimePoint last = TimePoint::epoch();
+  for (const auto& p : partitions_) last = std::max(last, p->sim().now());
+  for (auto& p : partitions_) p->sim().run(last);
+  return report;
+}
+
+RunReport Engine::runWindows(std::int64_t limitNs) {
   RunReport report;
 
   // Worker sourcing: explicit pin, or a lease on the process budget (a
@@ -433,11 +449,6 @@ RunReport Engine::run(TimePoint limit) {
     }
   }
   pool_.reset();
-
-  // Align every clock exactly at the limit (run() with nothing due just
-  // advances time), so repeated run() calls and post-run probes see one
-  // consistent instant.
-  for (auto& p : partitions_) p->sim().run(limit);
 
   if (report.rounds > 0) {
     report.idleFraction.reserve(count);

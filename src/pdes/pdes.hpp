@@ -31,7 +31,10 @@
 // Positive lookahead on every link makes some partition's bound exceed the
 // global minimum EOT each round, so the window always advances: no
 // deadlock, for any topology, including cycles (see the low-lookahead
-// stress test in tests/pdes_test.cpp).
+// stress test in tests/pdes_test.cpp). run() with no limit repeats this
+// until no partition has an event or message left; windows never move a
+// clock past the last event it dispatched, so the run ends at the instant
+// of its last event rather than at some bound.
 //
 // Adaptive window sizing (EngineConfig::adaptiveWindows) generalizes the
 // per-link lookahead with per-link *send promises*: a partition may declare
@@ -194,11 +197,6 @@ class Engine {
   /// The declared lookahead, or a negative Duration when not linked.
   [[nodiscard]] Duration lookahead(std::uint32_t src, std::uint32_t dst) const;
 
-  /// Whether a src -> dst channel has been declared.
-  [[nodiscard]] bool linked(std::uint32_t src, std::uint32_t dst) const {
-    return lookaheadNs(src, dst) >= 0;
-  }
-
   /// The current send floor promised on src -> dst (epoch when none).
   [[nodiscard]] TimePoint sendPromise(std::uint32_t src,
                                       std::uint32_t dst) const {
@@ -211,6 +209,12 @@ class Engine {
   /// or before `limit` is pending. Callable repeatedly with increasing
   /// limits.
   RunReport run(TimePoint limit);
+
+  /// Runs until no partition has an event or an undelivered message left.
+  /// Windows never push a clock past the last event it dispatched, so on
+  /// return every clock sits at the latest instant any partition reached.
+  /// run(limit) may follow.
+  RunReport run();
 
   /// Per-partition audit digests folded in partition-id order. The trail
   /// holds one entry per partition (its digest), so a divergence report
@@ -236,6 +240,9 @@ class Engine {
                    std::vector<std::int64_t>& bound, std::int64_t limitNs,
                    bool usePromises);
   void runRound(unsigned workers);
+  /// The barrier loop shared by both run() forms; clocks are left at each
+  /// partition's last dispatched instant.
+  RunReport runWindows(std::int64_t limitNs);
   void runOne(std::uint32_t i);
 
   struct Link {

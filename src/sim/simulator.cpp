@@ -414,7 +414,7 @@ bool Simulator::advanceWheel(std::int64_t limitNs) {
 // detlint:hotpath the dispatch loop — wheel advance, drain-run reuse, and
 // callback invocation are all pool-backed; allocating here would show up in
 // every per-event cost the benches gate.
-MSIM_HOT std::size_t Simulator::run(TimePoint limit) {
+MSIM_HOT std::size_t Simulator::dispatchThrough(TimePoint limit) {
   std::size_t executed = 0;
   const std::int64_t limitNs = limit.toNanos();
   for (;;) {
@@ -454,6 +454,11 @@ MSIM_HOT std::size_t Simulator::run(TimePoint limit) {
     ++executed;
     ++executed_;
   }
+  return executed;
+}
+
+std::size_t Simulator::run(TimePoint limit) {
+  const std::size_t executed = dispatchThrough(limit);
   if (limit != TimePoint::max() && now_ < limit) now_ = limit;
   return executed;
 }

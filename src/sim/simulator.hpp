@@ -108,6 +108,10 @@ class Simulator {
   /// to `limit` if given). Returns the number of events executed.
   std::size_t run(TimePoint limit = TimePoint::max());
 
+  /// run(limit) without the final clock advance: dispatches every event at
+  /// or before `limit` and leaves the clock at the last dispatched instant.
+  std::size_t dispatchThrough(TimePoint limit);
+
   /// Runs for `d` simulated time from the current clock.
   std::size_t runFor(Duration d) { return run(now_ + d); }
 

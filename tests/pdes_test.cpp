@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -193,6 +196,93 @@ TEST(PdesEngine, RunIsResumableWithIncreasingLimits) {
   EXPECT_EQ(*fired, 0);
   engine.run(TimePoint::epoch() + Duration::millis(20));
   EXPECT_EQ(*fired, 1);
+}
+
+// A token passed around a three-partition ring for 40 RNG-spaced hops, plus
+// a far-future tail: an event on partition 2 an hour out that hands the
+// token on once more. Each partition records the instant of the last event
+// it dispatched (its own slot only, so parallel windows never share a
+// write).
+struct TokenRing {
+  pdes::Engine& engine;
+  std::vector<TimePoint> last;
+  void hop(std::uint32_t self, int left) {
+    pdes::Partition& p = engine.partition(self);
+    last[self] = p.sim().now();
+    if (left == 0) return;
+    const std::uint32_t next = (self + 1) % 3;
+    const Duration gap = Duration::millis(2) +
+                         Duration::micros(p.sim().rng().uniformInt(0, 3000));
+    p.send(next, p.sim().now() + gap,
+           [this, next, left] { hop(next, left - 1); });
+  }
+  [[nodiscard]] TimePoint latest() const {
+    return *std::max_element(last.begin(), last.end());
+  }
+};
+
+struct TokenRun {
+  std::unique_ptr<pdes::Engine> engine;
+  std::shared_ptr<TokenRing> ring;
+};
+
+TokenRun tokenRing(unsigned threads) {
+  pdes::EngineConfig cfg;
+  cfg.threads = threads;
+  cfg.audit = true;
+  TokenRun run;
+  run.engine = std::make_unique<pdes::Engine>(3, 42, cfg);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    run.engine->link(i, (i + 1) % 3, Duration::millis(2));
+  }
+  run.ring = std::make_shared<TokenRing>(
+      TokenRing{*run.engine, std::vector<TimePoint>(3)});
+  auto ring = run.ring;
+  run.engine->partition(0).sim().schedule(
+      TimePoint::epoch() + Duration::millis(1), [ring] { ring->hop(0, 40); });
+  run.engine->partition(2).sim().schedule(
+      TimePoint::epoch() + Duration::seconds(3600),
+      [ring] { ring->hop(2, 1); });
+  return run;
+}
+
+TEST(PdesEngine, RunToIdleEndsAtLastDispatchedInstant) {
+  TokenRun base = tokenRing(1);
+  const pdes::RunReport report = base.engine->run();
+  // 41 token hops + the tail event and its hand-off.
+  EXPECT_EQ(report.eventsExecuted, 43u);
+  EXPECT_EQ(report.messagesDelivered, 41u);
+  const TimePoint last = base.ring->latest();
+  EXPECT_GT(last, TimePoint::epoch() + Duration::seconds(3600));
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const Simulator& sim = base.engine->partition(i).sim();
+    EXPECT_TRUE(sim.idle()) << "partition " << i;
+    EXPECT_EQ(sim.now(), last) << "partition " << i;
+  }
+  const std::uint64_t digest = base.engine->auditDigest();
+  ASSERT_NE(digest, 0u);
+  for (unsigned threads : {2u, 8u}) {
+    TokenRun r = tokenRing(threads);
+    const pdes::RunReport rep = r.engine->run();
+    EXPECT_EQ(r.engine->auditDigest(), digest) << "threads=" << threads;
+    EXPECT_EQ(rep.eventsExecuted, report.eventsExecuted)
+        << "threads=" << threads;
+    EXPECT_EQ(r.ring->latest(), last) << "threads=" << threads;
+  }
+
+  // A bounded run may follow: one more hand-off, then clocks at the limit.
+  auto ring = base.ring;
+  base.engine->partition(1).sim().schedule(last + Duration::seconds(1),
+                                           [ring] { ring->hop(1, 1); });
+  const TimePoint limit = last + Duration::seconds(2);
+  const pdes::RunReport more = base.engine->run(limit);
+  EXPECT_EQ(more.eventsExecuted, 2u);
+  EXPECT_EQ(more.messagesDelivered, 1u);
+  EXPECT_GT(ring->last[2], last + Duration::seconds(1));
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(base.engine->partition(i).sim().now(), limit)
+        << "partition " << i;
+  }
 }
 
 // ------------------------------------------- determinism across workers
@@ -496,54 +586,74 @@ TEST(PdesCluster, VerifyThreadInvarianceComposesWithSeedSweep) {
 TEST(PdesCluster, DirectLinkMigrationTakesTwoHops) {
   // Migration-only regime: the pacing period dwarfs the measurement window,
   // so the engine's message ledger contains exactly the migration protocol —
-  // drain order + snapshot hops — and the hop count is pinned precisely.
-  auto runMigrationOnly = [](bool direct) {
-    cluster::PartitionedClusterConfig cfg = smallClusterConfig(777, 1);
-    cfg.users = 24;
-    cfg.shards = 4;
-    cfg.updateRateHz = 0.01;  // first pacing tick far beyond the window
-    cfg.directShardLinks = direct;
-    cluster::PartitionedCluster run{cfg};
-    run.scheduleDrain(3, TimePoint::epoch() + Duration::millis(200));
-    return run.run(Duration::millis(400), Duration::seconds(1));
-  };
-
-  const cluster::PartitionedClusterStats direct = runMigrationOnly(true);
+  // drain order + snapshot hop — and the hop count is pinned precisely.
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(777, 1);
+  cfg.users = 24;
+  cfg.shards = 4;
+  cfg.updateRateHz = 0.01;  // first pacing tick far beyond the window
+  cluster::PartitionedCluster run{cfg};
+  run.scheduleDrain(3, TimePoint::epoch() + Duration::millis(200));
+  const cluster::PartitionedClusterStats direct =
+      run.run(Duration::millis(400), Duration::seconds(1));
   EXPECT_EQ(direct.migrations, 1u);
   EXPECT_EQ(direct.migratedUsers, 6u);
   EXPECT_EQ(direct.migrationHops, 2u);
   // Order (control -> source) + snapshot (source -> target): two messages.
   EXPECT_EQ(direct.engine.messagesDelivered, 2u);
 
-  const cluster::PartitionedClusterStats hub = runMigrationOnly(false);
-  EXPECT_EQ(hub.migrations, 1u);
-  EXPECT_EQ(hub.migratedUsers, direct.migratedUsers);
-  EXPECT_EQ(hub.migrationHops, 3u);
-  // Order + export (source -> control) + forward (control -> target).
-  EXPECT_EQ(hub.engine.messagesDelivered, 3u);
+  // There is no relay through control: the hub-only topology is rejected.
+  cfg.directShardLinks = false;
+  EXPECT_THROW(cluster::PartitionedCluster{cfg}, std::invalid_argument);
 }
 
 TEST(PdesCluster, TwoHopMigrationZeroLossUnderTraffic) {
   // The exactly-once regression for the two-hop path: live update traffic
-  // during the drain, direct vs hub topology, both ledgers must balance and
-  // both must move the same room.
-  auto runWith = [](bool direct) {
-    cluster::PartitionedClusterConfig cfg = smallClusterConfig(4321, 1);
-    cfg.directShardLinks = direct;
-    cluster::PartitionedCluster run{cfg};
-    run.scheduleDrain(5, TimePoint::epoch() + Duration::millis(250));
-    return run.run(Duration::millis(500), Duration::seconds(1));
-  };
-  const cluster::PartitionedClusterStats direct = runWith(true);
-  const cluster::PartitionedClusterStats hub = runWith(false);
-  for (const auto* s : {&direct, &hub}) {
-    EXPECT_GT(s->broadcasts, 0u);
-    EXPECT_EQ(s->expectedDeliveries, s->delivered);
-    EXPECT_EQ(s->migrations, 1u);
-    EXPECT_EQ(s->migratedUsers, 15u);
-  }
+  // during the drain, and the ledger must balance.
+  cluster::PartitionedCluster run{smallClusterConfig(4321, 1)};
+  run.scheduleDrain(5, TimePoint::epoch() + Duration::millis(250));
+  const cluster::PartitionedClusterStats direct =
+      run.run(Duration::millis(500), Duration::seconds(1));
+  EXPECT_GT(direct.broadcasts, 0u);
+  EXPECT_EQ(direct.expectedDeliveries, direct.delivered);
+  EXPECT_EQ(direct.migrations, 1u);
+  EXPECT_EQ(direct.migratedUsers, 15u);
   EXPECT_EQ(direct.migrationHops, 2u);
-  EXPECT_EQ(hub.migrationHops, 3u);
+}
+
+TEST(PdesCluster, RunEndsAtLastDeliveryPastTheSlack) {
+  // A room-size queueing term of 2 s · (15 − 2)^1.5 ≈ 93.7 s puts every
+  // delivery of the 10 Hz window [0, 500 ms) more than 60 s past
+  // measure + slack. One run must land all of them, in fewer barrier
+  // rounds than 10 s horizon slices would need, and end at the last one.
+  cluster::PartitionedClusterConfig cfg = smallClusterConfig(1234, 1);
+  cfg.dataSpec.queueCoefMs = 2000.0;
+  cluster::PartitionedCluster run{cfg};
+  const Duration measure = Duration::millis(500);
+  const Duration slack = Duration::seconds(1);
+  const cluster::PartitionedClusterStats stats = run.run(measure, slack);
+  EXPECT_EQ(stats.broadcasts, 90u * 4u);
+  EXPECT_GT(stats.delivered, 0u);
+  EXPECT_EQ(stats.expectedDeliveries, stats.delivered);
+
+  const Duration queueing =
+      Duration::millis(cfg.dataSpec.queueCoefMs * std::pow(13.0, 1.5));
+  const TimePoint end = run.engine().partition(0).sim().now();
+  const TimePoint floor = TimePoint::epoch() + measure + slack;
+  EXPECT_GT(end, floor + Duration::seconds(60));
+  const auto slices = static_cast<std::uint64_t>(
+      std::ceil((end - floor).toSeconds() / 10.0));
+  EXPECT_LT(stats.engine.rounds, slices);
+  // The last tick is at 400 ms; its deliveries land one processing delay
+  // (a ~30 ms base plus the queueing term) later, and nothing runs after
+  // them.
+  const TimePoint lastTick = TimePoint::epoch() + Duration::millis(400);
+  EXPECT_GT(end, lastTick + queueing);
+  EXPECT_LT(end, lastTick + queueing + Duration::millis(100));
+  for (std::uint32_t i = 0; i < run.engine().partitionCount(); ++i) {
+    const Simulator& sim = run.engine().partition(i).sim();
+    EXPECT_TRUE(sim.idle()) << "partition " << i;
+    EXPECT_EQ(sim.now(), end) << "partition " << i;
+  }
 }
 
 TEST(PdesCluster, AdaptiveWindowsMatchUncoalescedDigestAcrossThreads) {
