@@ -34,14 +34,29 @@ void* operator new(std::size_t n) {
 
 void* operator new[](std::size_t n) { return ::operator new(n); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Every delete form frees through one out-of-line helper: inlined into a
+// caller, a bare std::free next to the (known) operator new would trip GCC's
+// -Wmismatched-new-delete, although the pair here is malloc/free throughout.
+namespace {
+[[gnu::noinline]] void releaseBlock(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { releaseBlock(p); }
+void operator delete[](void* p) noexcept { releaseBlock(p); }
+void operator delete(void* p, std::size_t) noexcept { releaseBlock(p); }
+void operator delete[](void* p, std::size_t) noexcept { releaseBlock(p); }
 
 using namespace msim;
 
 namespace {
+
+/// The caller-owned pose update the relay fan-out rows broadcast.
+std::shared_ptr<const Message> poseMessage() {
+  Message m{};
+  m.kind = avatarmsg::kPoseUpdate;
+  m.size = ByteSize::bytes(220);
+  return std::make_shared<const Message>(m);
+}
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
@@ -246,8 +261,7 @@ void BM_RelayBroadcastSoA(benchmark::State& state) {
   for (int i = 0; i < users; ++i) {
     room.joinDetached(1000 + static_cast<std::uint64_t>(i));
   }
-  auto m = std::make_shared<const Message>(Message{
-      avatarmsg::kPoseUpdate, ByteSize::bytes(220)});
+  const auto m = poseMessage();
 
   room.broadcast(1000, m);
   sim.run();
@@ -280,9 +294,18 @@ void BM_InterestGridFanout(benchmark::State& state) {
   // grid candidates and forwards to the distance-banded subset, independent
   // of room population. The 16 m cells keep the cell walk to ~4×4 table
   // lookups per broadcast (cell edge ≈ ⅔ of the cull radius); the candidate
-  // circle tests stream through each cell's co-located arrays. Per-broadcast
-  // cost must stay flat from 1k to 100k avatars, with zero heap allocations
-  // in the measured loop.
+  // circle tests stream through each cell's contiguous entry array.
+  // Per-forward cost must stay flat from 1k to 100k avatars, with zero heap
+  // allocations in the measured loop.
+  //
+  // One iteration is a fixed amount of work: the same kSenders senders, a
+  // large-stride walk so consecutive senders sit in different grid
+  // neighborhoods instead of reusing hot cells, each broadcasting twice.
+  // A sender's pose sequence alternates the LoD parity (odd sequences
+  // forward only the full-rate disc, even ones add the half-rate ring), so
+  // two broadcasts per sender make every iteration forward the same set —
+  // forwards_per_broadcast is identical at any iteration count.
+  constexpr int kSenders = 256;
   const int users = static_cast<int>(state.range(0));
   Simulator sim{1};
   DataSpec spec;
@@ -300,50 +323,91 @@ void BM_InterestGridFanout(benchmark::State& state) {
     room.joinDetached(id);
     room.updatePose(id, Pose{4.0 * (i % side), 4.0 * (i / side), 0});
   }
-  auto m = std::make_shared<const Message>(Message{
-      avatarmsg::kPoseUpdate, ByteSize::bytes(220)});
+  const auto m = poseMessage();
+  const auto walk = [&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int j = 0; j < kSenders; ++j) {
+        const std::uint64_t sender =
+            1000 + (static_cast<std::uint64_t>(j) * 7919) % users;
+        room.broadcast(sender, m);
+        sim.run();
+      }
+    }
+  };
+  // Warm up twice: the fan-out arena, the event slots and the timer-wheel
+  // lanes (whose alignment moves with the clock) reach steady state before
+  // the measured loop, which must then allocate nothing at all.
+  walk();
+  walk();
 
-  // Warm up through two full passes of the measured sender walk: every
-  // sender's pose sequence visits both LoD parities (odd sequences forward
-  // only the full-rate disc, even ones add the half-rate ring), so the
-  // fan-out arena, the timer-wheel lanes, and every grid neighborhood reach
-  // steady state before the measured loop — which must then allocate
-  // nothing at all.
-  for (std::int64_t w = 0; w < 2 * users; ++w) {
-    const std::uint64_t sender =
-        1000 + (static_cast<std::uint64_t>(w) * 7919) % users;
-    room.broadcast(sender, m);
-    sim.run();
-  }
-
-  std::int64_t broadcasts = 2 * users;  // continue the walk mid-phase
-  const std::int64_t broadcastsBefore = broadcasts;
   const std::uint64_t forwardedBefore = room.forwardedMessages();
   const std::uint64_t allocsBefore = g_heapAllocs.load();
+  std::int64_t broadcasts = 0;
   for (auto _ : state) {
-    // A deterministic large-stride walk, so consecutive senders sit in
-    // different grid neighborhoods instead of reusing hot cells.
-    const std::uint64_t sender =
-        1000 + (static_cast<std::uint64_t>(broadcasts) * 7919) % users;
-    room.broadcast(sender, m);
-    sim.run();
-    ++broadcasts;
+    walk();
+    broadcasts += 2 * kSenders;
   }
   const std::uint64_t allocs = g_heapAllocs.load() - allocsBefore;
   const std::uint64_t forwards = room.forwardedMessages() - forwardedBefore;
-  const std::int64_t measured = broadcasts - broadcastsBefore;
-  state.SetItemsProcessed(measured);
+  state.SetItemsProcessed(broadcasts);
   state.counters["forwards_per_broadcast"] = benchmark::Counter(
-      measured > 0
-          ? static_cast<double>(forwards) / static_cast<double>(measured)
+      broadcasts > 0
+          ? static_cast<double>(forwards) / static_cast<double>(broadcasts)
           : 0.0);
   state.counters["allocs_per_forward"] = benchmark::Counter(
       forwards > 0 ? static_cast<double>(allocs) / static_cast<double>(forwards)
                    : 0.0);
-  state.counters["broadcasts_per_second"] = benchmark::Counter(
-      static_cast<double>(measured), benchmark::Counter::kIsRate);
+  // Seconds per forward (the console prints it scaled, e.g. "29ns").
+  state.counters["time_per_forward"] = benchmark::Counter(
+      static_cast<double>(forwards),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_InterestGridFanout)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_RelayRoomPopulate(benchmark::State& state) {
+  // Bulk setup of one aoi_million shard (DESIGN.md §11): N members join an
+  // empty room and register their 4 m lattice pose, the room reserved for N
+  // at the lattice's true density (8 m cells hold 4 members). One iteration
+  // builds the room from empty and tears it down, a fixed amount of work.
+  // allocs_per_join is the setup heap budget: the room's reserved columns
+  // plus one block per AOI cell (≈0.26 at 4 members per cell; CI gates it
+  // at 0.3).
+  constexpr double kSpacingM = 4.0;
+  constexpr double kCellM = 8.0;
+  constexpr std::size_t kSlotsPerCell = 4;  // (kCellM / kSpacingM)²
+  constexpr std::uint64_t kShards = 64;     // ids of shard 0: 1 + 64·k
+  const int users = static_cast<int>(state.range(0));
+  Simulator sim{1};
+  DataSpec spec;
+  spec.interestGrid = true;
+  spec.interestCellM = kCellM;
+  spec.interestRadiusM = kCellM;
+  spec.interestFullRadiusM = kCellM;
+  const int side = static_cast<int>(std::ceil(std::sqrt(users)));
+
+  std::int64_t joins = 0;
+  const std::uint64_t allocsBefore = g_heapAllocs.load();
+  for (auto _ : state) {
+    RelayRoom room{sim, spec};
+    room.reserveUsers(static_cast<std::size_t>(users), kSlotsPerCell);
+    for (int k = 0; k < users; ++k) {
+      const std::uint64_t id = 1 + kShards * static_cast<std::uint64_t>(k);
+      room.joinDetached(id);
+      room.updatePose(id, Pose{kSpacingM * (k % side), kSpacingM * (k / side), 0});
+    }
+    benchmark::DoNotOptimize(room.userCount());
+    joins += users;
+  }
+  const std::uint64_t allocs = g_heapAllocs.load() - allocsBefore;
+  state.SetItemsProcessed(joins);
+  state.counters["allocs_per_join"] = benchmark::Counter(
+      joins > 0 ? static_cast<double>(allocs) / static_cast<double>(joins)
+                : 0.0);
+  state.counters["time_per_join"] = benchmark::Counter(
+      static_cast<double>(joins),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RelayRoomPopulate)->Arg(15625);
 
 void BM_RelayInFlightFanout(benchmark::State& state) {
   // Fan-out memory under load: every avatar of an N-avatar lattice
@@ -371,8 +435,7 @@ void BM_RelayInFlightFanout(benchmark::State& state) {
     room.joinDetached(id);
     room.updatePose(id, Pose{4.0 * (i % side), 4.0 * (i / side), 0});
   }
-  auto m = std::make_shared<const Message>(Message{
-      avatarmsg::kPoseUpdate, ByteSize::bytes(220)});
+  const auto m = poseMessage();
   const auto wave = [&] {
     for (int i = 0; i < users; ++i) {
       room.broadcast(1000 + static_cast<std::uint64_t>(i), m);

@@ -95,7 +95,11 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
   // Memory-lean bulk setup: pre-size every room for its expected share so a
   // 1M-user construction never rehashes a column mid-join, and place users
   // round-robin — what the gateway's LeastLoaded scan picks over fresh,
-  // uncapped, equal shards, in O(users) instead of O(users x shards).
+  // uncapped, equal shards, in O(users) instead of O(users x shards). User u
+  // is shard (u % shards)'s k-th member with k = u / shards. Each shard is
+  // populated in one pass (its joins in the same order as a global
+  // round-robin loop would make them), so one room's index, columns and
+  // grid stay cache-hot while it is built and its heap blocks lie together.
   const std::size_t perShard =
       (static_cast<std::size_t>(cfg_.users) + shardCount - 1) / shardCount;
   std::size_t slotsPerCell = 1;
@@ -105,26 +109,27 @@ PartitionedCluster::PartitionedCluster(PartitionedClusterConfig cfg)
     const double perAxis = cfg_.dataSpec.interestCellM / cfg_.latticeSpacingM;
     slotsPerCell = static_cast<std::size_t>(std::max(1.0, perAxis * perAxis));
   }
-  for (std::uint32_t s = 0; s < shardCount; ++s) {
-    shards_[s].inst->room().reserveUsers(perShard, slotsPerCell);
-  }
   const std::size_t latticeSide = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(perShard == 0 ? 1 : perShard))));
   assigned_.assign(shardCount, 0);
   accepting_.assign(shardCount, true);
-  for (int u = 0; u < cfg_.users; ++u) {
-    const std::uint32_t s = static_cast<std::uint32_t>(u) % shardCount;
-    const auto id = static_cast<std::uint64_t>(u) + 1;
-    shards_[s].inst->room().joinDetached(id);
-    const std::size_t k = assigned_[s]++;
-    if (cfg_.latticeSpacingM > 0.0) {
-      // Deterministic per-shard lattice: pure function of the join order,
-      // so interest-grid neighborhoods are identical for every seed,
-      // thread count, and shard count.
-      shards_[s].inst->room().updatePose(
-          id, Pose{cfg_.latticeSpacingM * static_cast<double>(k % latticeSide),
-                   cfg_.latticeSpacingM * static_cast<double>(k / latticeSide),
-                   0.0});
+  const auto users = static_cast<std::uint64_t>(cfg_.users);
+  for (std::uint32_t s = 0; s < shardCount; ++s) {
+    RelayRoom& room = shards_[s].inst->room();
+    room.reserveUsers(perShard, slotsPerCell);
+    for (std::uint64_t u = s; u < users; u += shardCount) {
+      const std::uint64_t id = u + 1;
+      room.joinDetached(id);
+      const std::size_t k = assigned_[s]++;
+      if (cfg_.latticeSpacingM > 0.0) {
+        // Deterministic per-shard lattice: pure function of the join order,
+        // so interest-grid neighborhoods are identical for every seed,
+        // thread count, and shard count.
+        room.updatePose(
+            id, Pose{cfg_.latticeSpacingM * static_cast<double>(k % latticeSide),
+                     cfg_.latticeSpacingM * static_cast<double>(k / latticeSide),
+                     0.0});
+      }
     }
   }
 

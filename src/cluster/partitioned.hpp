@@ -153,6 +153,10 @@ class PartitionedCluster {
   [[nodiscard]] std::uint64_t digest() const { return engine_.auditDigest(); }
 
   [[nodiscard]] pdes::Engine& engine() { return engine_; }
+  /// Shard `shard`'s relay room (the population a harness inspects).
+  [[nodiscard]] const RelayRoom& room(std::uint32_t shard) const {
+    return shards_.at(shard).inst->room();
+  }
 
  private:
   struct Shard {

@@ -29,10 +29,18 @@ std::uint64_t InterestGrid::keyFor(double x, double y) const {
 
 void InterestGrid::reserve(std::size_t slots, std::size_t slotsPerCell) {
   if (slotsPerCell < 1) slotsPerCell = 1;
+  slotsPerCell_ = slotsPerCell;
   const std::size_t cells = (slots + slotsPerCell - 1) / slotsPerCell;
   cells_.reserve(cells);
   cellPool_.reserve(cells);
   if (slotKey_.size() < slots) slotKey_.resize(slots, kNoCell);
+}
+
+InterestGrid::Cell::iterator InterestGrid::lowerBound(Cell& cell,
+                                                      std::uint32_t slot) {
+  return std::lower_bound(
+      cell.begin(), cell.end(), slot,
+      [](const Entry& e, std::uint32_t s) { return e.slot < s; });
 }
 
 void InterestGrid::insertIntoCell(std::uint32_t slot, std::uint64_t id,
@@ -45,34 +53,23 @@ void InterestGrid::insertIntoCell(std::uint32_t slot, std::uint64_t id,
       freeCells_.pop_back();
     } else {
       fresh = static_cast<std::uint32_t>(cellPool_.size());
-      cellPool_.emplace_back();
+      cellPool_.emplace_back().reserve(slotsPerCell_);
     }
     cells_[key] = fresh;
     ++cellCount_;
     idx = cells_.find(key);
   }
   Cell& cell = cellPool_[*idx];
-  const auto it = std::lower_bound(cell.slots.begin(), cell.slots.end(), slot);
-  const auto at = static_cast<std::size_t>(it - cell.slots.begin());
-  cell.slots.insert(it, slot);
-  cell.ids.insert(cell.ids.begin() + static_cast<std::ptrdiff_t>(at), id);
-  cell.xs.insert(cell.xs.begin() + static_cast<std::ptrdiff_t>(at), x);
-  cell.ys.insert(cell.ys.begin() + static_cast<std::ptrdiff_t>(at), y);
+  cell.insert(lowerBound(cell, slot), Entry{id, x, y, slot});
 }
 
 void InterestGrid::removeFromCell(std::uint32_t slot, std::uint64_t key) {
   std::uint32_t* idx = cells_.find(key);
   if (idx == nullptr) return;
   Cell& cell = cellPool_[*idx];
-  const auto it = std::lower_bound(cell.slots.begin(), cell.slots.end(), slot);
-  if (it != cell.slots.end() && *it == slot) {
-    const auto at = static_cast<std::ptrdiff_t>(it - cell.slots.begin());
-    cell.slots.erase(it);
-    cell.ids.erase(cell.ids.begin() + at);
-    cell.xs.erase(cell.xs.begin() + at);
-    cell.ys.erase(cell.ys.begin() + at);
-  }
-  if (cell.slots.empty()) {
+  const auto it = lowerBound(cell, slot);
+  if (it != cell.end() && it->slot == slot) cell.erase(it);
+  if (cell.empty()) {
     freeCells_.push_back(*idx);
     cells_.erase(key);
     --cellCount_;
@@ -107,14 +104,8 @@ bool InterestGrid::move(std::uint32_t slot, std::uint64_t id, double x,
   }
   const std::uint64_t key = keyFor(x, y);
   if (key == slotKey_[slot]) {
-    // Same cell: refresh the stored exact position in place.
-    Cell& cell = cellPool_[*cells_.find(key)];
-    const auto it =
-        std::lower_bound(cell.slots.begin(), cell.slots.end(), slot);
-    const auto at = static_cast<std::size_t>(it - cell.slots.begin());
-    cell.ids[at] = id;
-    cell.xs[at] = x;
-    cell.ys[at] = y;
+    // Same cell: refresh the stored payload and exact position in place.
+    *lowerBound(cellPool_[*cells_.find(key)], slot) = Entry{id, x, y, slot};
     return false;
   }
   removeFromCell(slot, slotKey_[slot]);

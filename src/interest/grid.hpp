@@ -12,9 +12,13 @@
 // Determinism rules (DESIGN.md §9, §12):
 //  - Cells are visited in (row, column) order of their *quantized
 //    coordinates* — never in hash-table or insertion order.
-//  - Within a cell, slots are kept sorted ascending, so the visit order is
-//    a pure function of positions and slot numbers, identical across runs,
-//    seeds with the same state, and any MSIM_THREADS.
+//  - Within a cell, entries are kept sorted by ascending slot, so the visit
+//    order is a pure function of positions and slot numbers, identical
+//    across runs, seeds with the same state, and any MSIM_THREADS.
+//
+// Each cell is one contiguous array of (id, x, y, slot) entries: a scan
+// streams it front to back, and filling a fresh cell to the density passed
+// to reserve() costs a single allocation.
 //  - Keys are packed integers; no pointers are ever hashed or compared.
 //
 // Membership updates are O(cell occupancy) and only happen on cell
@@ -46,6 +50,8 @@ class InterestGrid {
   /// density (lattice bulk setups) pass `slotsPerCell` to cap the cell
   /// tables at the true occupancy — a dense crowd at 64 slots/cell reserves
   /// 64x less, which is what keeps a 64-shard million-user run memory-lean.
+  /// Each cell created afterwards reserves `slotsPerCell` entries up front,
+  /// so filling a cell to that density costs one allocation.
   void reserve(std::size_t slots, std::size_t slotsPerCell = 1);
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -69,7 +75,7 @@ class InterestGrid {
   /// order, as fn(slot, id, slotX, slotY). Cells of the bounding square
   /// whose nearest point lies beyond the radius are pruned without being
   /// touched (~21% of a large query's cells sit in those corners). Payload
-  /// and positions are read from the cell's own parallel arrays — the scan
+  /// and positions are read from the cell's own entry array — the scan
   /// streams contiguous memory instead of gathering from room-wide columns.
   /// The caller applies the exact per-slot circle test. Returns the number
   /// of slots visited.
@@ -98,12 +104,9 @@ class InterestGrid {
         if (dy2 + dx * dx > r2) continue;  // cell fully outside the circle
         const std::uint32_t* cell = cells_.find(packCell(qx, qy));
         if (cell == nullptr) continue;
-        const Cell& c = cellPool_[*cell];
-        const std::size_t n = c.slots.size();
-        for (std::size_t i = 0; i < n; ++i) {
-          fn(c.slots[i], c.ids[i], c.xs[i], c.ys[i]);
-        }
-        visited += n;
+        const std::vector<Entry>& entries = cellPool_[*cell];
+        for (const Entry& e : entries) fn(e.slot, e.id, e.x, e.y);
+        visited += entries.size();
       }
     }
     return visited;
@@ -113,12 +116,20 @@ class InterestGrid {
   [[nodiscard]] static std::uint64_t packCell(std::int64_t qx, std::int64_t qy);
 
  private:
-  struct Cell {
-    std::vector<std::uint32_t> slots;  // sorted ascending
-    std::vector<std::uint64_t> ids;    // parallel to slots: caller payload +
-    std::vector<double> xs;            // exact positions, so radius queries
-    std::vector<double> ys;            // never gather from room-wide columns
+  /// One cell member: caller payload and exact position ride with the slot,
+  /// so a radius query never gathers from room-wide columns. 32 bytes.
+  struct Entry {
+    std::uint64_t id;
+    double x;
+    double y;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Entry) == 32);
+  /// A cell's members in one contiguous array, sorted by ascending slot.
+  using Cell = std::vector<Entry>;
+
+  /// The first entry of `cell` whose slot is not below `slot`.
+  [[nodiscard]] static Cell::iterator lowerBound(Cell& cell, std::uint32_t slot);
 
   [[nodiscard]] std::uint64_t keyFor(double x, double y) const;
   void insertIntoCell(std::uint32_t slot, std::uint64_t id, std::uint64_t key,
@@ -131,6 +142,7 @@ class InterestGrid {
   std::vector<Cell> cellPool_;
   std::vector<std::uint32_t> freeCells_;
   std::vector<std::uint64_t> slotKey_;  // slot → current cell key
+  std::size_t slotsPerCell_{1};  // capacity a newly created cell reserves
   std::size_t size_{0};
   std::size_t cellCount_{0};
 };

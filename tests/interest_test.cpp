@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "audit/sweep.hpp"
@@ -111,6 +116,156 @@ TEST(InterestGridTest, NegativeCoordinatesQuantizeDistinctly) {
       -4.0, -4.0, 2.0,
       [&](std::uint32_t s, std::uint64_t, double, double) { seen.push_back(s); });
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{1}));
+}
+
+// One visited candidate, as forEachCandidate hands it over.
+struct Visit {
+  std::uint32_t slot;
+  std::uint64_t id;
+  double x;
+  double y;
+  bool operator==(const Visit&) const = default;
+};
+
+std::vector<Visit> gridVisits(const interest::InterestGrid& grid, double x,
+                              double y, double radius) {
+  std::vector<Visit> out;
+  const std::size_t visited = grid.forEachCandidate(
+      x, y, radius, [&](std::uint32_t s, std::uint64_t id, double px, double py) {
+        out.push_back({s, id, px, py});
+      });
+  EXPECT_EQ(visited, out.size());
+  return out;
+}
+
+TEST(InterestGridTest, ChurnKeepsRowColumnSlotOrderAgainstBruteForce) {
+  // ~10k seeded inserts, same-cell moves, cross-cell moves and removes on a
+  // grid reserved at 4 slots per cell (cells both under and over that
+  // capacity). Every 100 operations each query circle's visit sequence must
+  // equal a brute-force reference: every member whose cell's nearest point
+  // lies within the radius, ordered by (cell row, cell column, slot).
+  constexpr double kCellM = 8.0;
+  constexpr std::uint32_t kSlots = 200;
+  constexpr double kHalfWorldM = 24.0;  // 6 x 6 cells
+  struct Member {
+    bool in{false};
+    std::uint64_t id{0};
+    double x{0.0};
+    double y{0.0};
+  };
+  struct Query {
+    double x, y, r;
+  };
+  const Query queries[] = {
+      {0.0, 0.0, 10.0}, {-15.0, 7.0, 20.0}, {13.5, -3.2, 5.0}, {3.0, 3.0, 100.0}};
+
+  interest::InterestGrid grid{kCellM};
+  grid.reserve(kSlots, 4);
+  std::vector<Member> ref(kSlots);
+  std::mt19937_64 rng{20261020};
+  const auto unit = [&] { return static_cast<double>(rng() >> 11) * 0x1.0p-53; };
+  const auto coord = [&] { return (2.0 * unit() - 1.0) * kHalfWorldM; };
+  const auto cellOf = [&](double v) {
+    return static_cast<std::int64_t>(std::floor(v / kCellM));
+  };
+
+  const auto reference = [&](const Query& q) {
+    struct Keyed {
+      std::int64_t row, col;
+      Visit v;
+    };
+    std::vector<Keyed> hits;
+    for (std::uint32_t s = 0; s < kSlots; ++s) {
+      const Member& m = ref[s];
+      if (!m.in) continue;
+      const std::int64_t col = cellOf(m.x);
+      const std::int64_t row = cellOf(m.y);
+      const double lo[2] = {static_cast<double>(col) * kCellM,
+                            static_cast<double>(row) * kCellM};
+      const double p[2] = {q.x, q.y};
+      double d2 = 0.0;
+      for (int a = 0; a < 2; ++a) {
+        const double d = std::max({lo[a] - p[a], 0.0, p[a] - (lo[a] + kCellM)});
+        d2 += d * d;
+      }
+      if (d2 <= q.r * q.r) hits.push_back({row, col, {s, m.id, m.x, m.y}});
+    }
+    std::sort(hits.begin(), hits.end(), [](const Keyed& a, const Keyed& b) {
+      return std::tie(a.row, a.col, a.v.slot) < std::tie(b.row, b.col, b.v.slot);
+    });
+    std::vector<Visit> out;
+    for (const Keyed& k : hits) out.push_back(k.v);
+    return out;
+  };
+
+  std::size_t sameCellMoves = 0;
+  std::size_t crossCellMoves = 0;
+  for (int op = 1; op <= 10000; ++op) {
+    const auto s = static_cast<std::uint32_t>(rng() % kSlots);
+    Member& m = ref[s];
+    const std::uint64_t id = rng();
+    if (!m.in) {
+      m = {true, id, coord(), coord()};
+      grid.insert(s, m.id, m.x, m.y);
+    } else {
+      switch (rng() % 3) {
+        case 0:
+          grid.remove(s);
+          m.in = false;
+          break;
+        case 1: {  // same-cell move: a fresh point inside the current cell
+          const double x = (static_cast<double>(cellOf(m.x)) + unit()) * kCellM;
+          const double y = (static_cast<double>(cellOf(m.y)) + unit()) * kCellM;
+          ASSERT_FALSE(grid.move(s, id, x, y)) << "op " << op;
+          m = {true, id, x, y};
+          ++sameCellMoves;
+          break;
+        }
+        default: {
+          const double x = coord();
+          const double y = coord();
+          const bool crossed = cellOf(x) != cellOf(m.x) || cellOf(y) != cellOf(m.y);
+          ASSERT_EQ(grid.move(s, id, x, y), crossed) << "op " << op;
+          m = {true, id, x, y};
+          crossCellMoves += crossed ? 1 : 0;
+          break;
+        }
+      }
+    }
+    if (op % 100 != 0) continue;
+    std::size_t members = 0;
+    for (const Member& r : ref) members += r.in ? 1 : 0;
+    ASSERT_EQ(grid.size(), members) << "op " << op;
+    for (const Query& q : queries) {
+      ASSERT_EQ(gridVisits(grid, q.x, q.y, q.r), reference(q))
+          << "op " << op << " query (" << q.x << ", " << q.y << ", " << q.r << ")";
+    }
+  }
+  EXPECT_GT(sameCellMoves, 1000u);
+  EXPECT_GT(crossCellMoves, 1000u);
+
+  // Empty the fullest cell, then refill it in descending slot order: the
+  // cell visits in ascending slot order again, with the same payloads.
+  const Query& all = queries[3];
+  const std::vector<Visit> before = gridVisits(grid, all.x, all.y, all.r);
+  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Visit>> byCell;
+  for (const Visit& v : before) byCell[{cellOf(v.y), cellOf(v.x)}].push_back(v);
+  const std::vector<Visit>* fullest = nullptr;
+  for (const auto& [cell, visits] : byCell) {
+    if (fullest == nullptr || visits.size() > fullest->size()) fullest = &visits;
+  }
+  ASSERT_NE(fullest, nullptr);
+  ASSERT_GT(fullest->size(), 4u);  // past the reserved capacity
+  const std::vector<Visit> cell = *fullest;
+  const std::size_t cellsBefore = grid.occupiedCells();
+  for (const Visit& v : cell) grid.remove(v.slot);
+  EXPECT_EQ(grid.occupiedCells(), cellsBefore - 1);
+  EXPECT_EQ(gridVisits(grid, cell[0].x, cell[0].y, 0.0), std::vector<Visit>{});
+  for (auto it = cell.rbegin(); it != cell.rend(); ++it) {
+    grid.insert(it->slot, it->id, it->x, it->y);
+  }
+  EXPECT_EQ(grid.occupiedCells(), cellsBefore);
+  EXPECT_EQ(gridVisits(grid, all.x, all.y, all.r), before);
 }
 
 // ---------------------------------------------------------- InterestParams

@@ -721,6 +721,61 @@ TEST(PdesCluster, GhostLedgerBalancesAndIsThreadInvariant) {
   }
 }
 
+TEST(PdesCluster, BulkPopulationIsTheRoundRobinLattice) {
+  // The aoi_million shape at 2,000 users on 8 shards: user u joins shard
+  // u % shards as that shard's k-th member (k = u / shards) and stands at
+  // lattice point (4·(k % side), 4·(k / side)). The digest was recorded
+  // while the constructor still joined users in global round-robin order;
+  // building one shard at a time must reproduce it at any worker count.
+  constexpr std::uint64_t kRoundRobinDigest = 0xbcaf867476e2f463ull;
+  auto config = [](unsigned threads) {
+    cluster::PartitionedClusterConfig cfg = smallClusterConfig(2024, threads);
+    cfg.users = 2000;
+    cfg.shards = 8;
+    cfg.updateRateHz = 2.0;
+    cfg.dataSpec.interestGrid = true;
+    cfg.dataSpec.interestCellM = 8.0;
+    cfg.dataSpec.interestRadiusM = 8.0;
+    cfg.dataSpec.interestFullRadiusM = 8.0;
+    cfg.latticeSpacingM = 4.0;
+    cfg.interestForwarding = true;
+    cfg.ghostRadiusM = 25.0;
+    return cfg;
+  };
+  const cluster::PartitionedClusterConfig cfg = config(1);
+  const auto shards = static_cast<std::uint64_t>(cfg.shards);
+  const auto perShard =
+      (static_cast<std::uint64_t>(cfg.users) + shards - 1) / shards;
+  const auto side = static_cast<std::uint64_t>(
+      std::ceil(std::sqrt(static_cast<double>(perShard))));
+
+  for (unsigned threads : {1u, 2u, 8u}) {
+    cluster::PartitionedCluster run{config(threads)};
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      const RelayRoomSnapshot snap = run.room(s).exportSnapshot();
+      ASSERT_EQ(snap.users.size(), perShard) << "shard " << s;
+      for (std::uint64_t k = 0; k < snap.users.size(); ++k) {
+        const RelayUserRecord& rec = snap.users[k];
+        const std::uint64_t u = s + k * shards;  // ids are sorted: k-th join
+        ASSERT_EQ(rec.id, u + 1) << "shard " << s << " member " << k;
+        ASSERT_TRUE(rec.poseKnown);
+        EXPECT_EQ(rec.pose.x, cfg.latticeSpacingM * static_cast<double>(k % side));
+        EXPECT_EQ(rec.pose.y, cfg.latticeSpacingM * static_cast<double>(k / side));
+      }
+    }
+    run.scheduleDrain(7, TimePoint::epoch() + Duration::millis(500));
+    const cluster::PartitionedClusterStats stats =
+        run.run(Duration::seconds(1), Duration::seconds(5));
+    EXPECT_GT(stats.delivered, 0u);
+    EXPECT_EQ(stats.expectedDeliveries, stats.delivered);
+    EXPECT_GT(stats.ghostsSent, 0u);
+    EXPECT_EQ(stats.ghostsSent, stats.ghostsReceived);
+    EXPECT_EQ(stats.migratedUsers, perShard);
+    EXPECT_EQ(run.digest(), kRoundRobinDigest)
+        << "threads=" << threads << " digest=" << std::hex << run.digest();
+  }
+}
+
 TEST(PdesCluster, PacesOverHalfOpenWindow) {
   // Ticks land at 100..500 ms, but the stop event at 500 ms was scheduled
   // before the 400 ms tick armed the 500 ms one, so it runs first: four
